@@ -15,7 +15,7 @@ to 3, and the two datasets must never be conflated silently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from rosterstat.bayes import EvidenceItem
 
@@ -113,6 +113,17 @@ class CaseFile:
             if w.name == name:
                 return w
         raise KeyError(f"no ward named {name!r} in case {self.case_name!r}")
+
+    def default_ward_names(self) -> list[str]:
+        """The wards analysed when none are named.
+
+        The RKZ pair, in the order RKZ-41, RKZ-42, when both are present,
+        matching the published analysis; otherwise every ward in file order.
+        """
+        names = [w.name for w in self.wards]
+        if RKZ_41 in names and RKZ_42 in names:
+            return [RKZ_41, RKZ_42]
+        return names
 
 
 _WARD_KEYS = {
@@ -279,8 +290,3 @@ def pool_wards(case: CaseFile, names: list[str] | tuple[str, ...]) -> WardRoster
         suspect_incidents=sum(w.suspect_incidents for w in rosters),
         nurse_count=None,
     )
-
-
-def with_variant(case: CaseFile, variant: str) -> CaseFile:
-    """Relabel a case's variant (counts are not changed)."""
-    return replace(case, variant=variant)

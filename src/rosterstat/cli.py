@@ -11,21 +11,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from rosterstat import bayes, frequentist, poisson_model, risk_sim
-from rosterstat.case import (
-    CaseFile,
-    CaseValidationError,
-    builtin_paper_case,
-    parse_case,
-    pool_wards,
-)
+from rosterstat.case import CaseFile, CaseValidationError, builtin_paper_case, parse_case
 from rosterstat.report import (
+    METHOD_CAVEATS,
     build_report,
     render_machine,
     render_repro_table,
     render_text,
     reproduce_paper,
     result_entry,
+    run_method,
 )
 
 METHODS = (
@@ -81,109 +76,19 @@ def _load_case(args: argparse.Namespace) -> CaseFile:
     return parse_case(text)
 
 
-def _ward_names(args: argparse.Namespace, case: CaseFile) -> list[str]:
-    if args.wards:
-        return [name.strip() for name in args.wards.split(",") if name.strip()]
-    names = [w.name for w in case.wards]
-    if "RKZ-41" in names and "RKZ-42" in names:
-        return ["RKZ-41", "RKZ-42"]
-    return names
-
-
-def _mu_basis(args: argparse.Namespace) -> tuple[str, float | None]:
-    spec = args.mu_basis
-    if spec.startswith("fixed="):
-        return "fixed", float(spec.split("=", 1)[1])
-    basis = spec.replace("-", "_")
-    if basis not in ("exclude_suspect", "include_suspect"):
-        raise SystemExit(f"rosterstat: unknown --mu-basis {spec!r}")
-    return basis, None
-
-
 def _analyze(args: argparse.Namespace) -> int:
     case = _load_case(args)
-    names = _ward_names(args, case)
-    results: list[dict] = []
-    extra_caveats = ""
-
-    if args.method == "elffers":
-        if args.jkz_multiplier is None:
-            raise SystemExit(
-                "rosterstat: --method elffers requires --jkz-multiplier; the "
-                "correction level is a subjective choice and is never defaulted"
-            )
-        outcome = frequentist.elffers_pipeline(case, args.jkz_multiplier)
-        results.append(result_entry("multiplied per-ward tails", outcome))
-        extra_caveats = frequentist.NOT_A_P_VALUE
-    elif args.method == "per-ward":
-        for name in names:
-            results.append(result_entry(name, frequentist.ward_tail_p(case.ward(name))))
-    elif args.method == "bonferroni":
-        tails = [frequentist.ward_tail_p(case.ward(name)).p_value for name in names]
-        nurse_counts = [case.ward(name).nurse_count for name in names]
-        if len(names) == 1 and nurse_counts[0]:
-            nurse_count = nurse_counts[0]
-        else:
-            nurse_count = len(tails)
-        results.append(result_entry(
-            f"Bonferroni over {names} with nurse_count={nurse_count}",
-            frequentist.bonferroni_min(tails, nurse_count),
-        ))
-    elif args.method == "pooled":
-        results.append(result_entry(
-            f"pooled tail over {names}", frequentist.pooled_test(case, names)))
-    elif args.method == "convolved":
-        results.append(result_entry(
-            f"convolved sum tail over {names}",
-            frequentist.convolved_sum_test(case, names)))
-    elif args.method == "fisher":
-        tails = [frequentist.ward_tail_p(case.ward(name)).p_value for name in names]
-        results.append(result_entry(
-            f"Fisher combination over {names}", frequentist.fisher_combine(tails)))
-    elif args.method == "poisson-lr":
-        basis, fixed = _mu_basis(args)
-        mu = poisson_model.estimate_mu(case, basis, names, fixed_value=fixed)
-        pool_counts = pool_wards(case, names)
-        mu_l = poisson_model.observed_rate(pool_counts.suspect_incidents,
-                                           pool_counts.suspect_shifts)
-        lr = poisson_model.lr_poisson(mu, mu_l,
-                                      pool_counts.suspect_shifts,
-                                      pool_counts.suspect_incidents)
-        results.append(result_entry(
-            f"Poisson likelihood ratio over {names}", lr,
-            mu=mu, mu_L=mu_l))
-    elif args.method == "binomial-cond":
-        results.append(result_entry(
-            f"conditional binomial test over {names}",
-            poisson_model.conditional_binomial_test(case, names)))
-    elif args.method == "bayes":
-        if not case.evidence:
-            raise SystemExit("rosterstat: case file has no evidence array")
-        shortcut = bayes.OddsState(prior_odds=args.prior)
-        strict = bayes.OddsState(prior_odds=bayes.odds_from_probability(args.prior))
-        for item in case.evidence:
-            shortcut = bayes.update(shortcut, item)
-            strict = bayes.update(strict, item)
-        results.append(result_entry(
-            f"odds chain, prior probability {args.prior} used as prior odds",
-            shortcut, posterior_probability=bayes.posterior_probability(shortcut)))
-        results.append(result_entry(
-            f"odds chain, strict prior odds p/(1-p) of {args.prior}",
-            strict, posterior_probability=bayes.posterior_probability(strict)))
-        extra_caveats = bayes.INDEPENDENCE_NOTE
-    elif args.method == "relative-risk":
-        basis, fixed = _mu_basis(args)
-        threshold = risk_sim.observed_threshold(case, names)
-        cfg = risk_sim.derive_sim_config(
-            case, names, basis, replicates=args.replicates, seed=args.seed,
-            fixed_value=fixed)
-        sim = risk_sim.simulate_max_rr(cfg, threshold.value, workers=args.workers)
-        results.append(result_entry(
-            f"observed relative risk over {names}", threshold))
-        results.append(result_entry(
-            "null calibration of the maximum relative risk", sim))
-
-    report = build_report(case, args.method, results, extra_caveats)
+    if args.wards:
+        names = [name.strip() for name in args.wards.split(",") if name.strip()]
+    else:
+        names = case.default_ward_names()
+    runs = run_method(
+        case, args.method, names, jkz_multiplier=args.jkz_multiplier,
+        mu_basis=args.mu_basis, prior=args.prior, seed=args.seed,
+        replicates=args.replicates, workers=args.workers,
+    )
+    results = [result_entry(label, result, **extra) for label, result, extra in runs]
+    report = build_report(case, args.method, results, METHOD_CAVEATS.get(args.method, ""))
     print(render_machine(report) if args.output == "machine" else render_text(report))
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from rosterstat.case import CaseFile, NormalRateData, RKZ_41, RKZ_42, pool_wards
+from rosterstat.case import CaseFile, NormalRateData, pool_wards
 from rosterstat.distributions import binomial_tail
 from rosterstat.frequentist import TestResult
 
@@ -100,13 +100,6 @@ def observed_rate(incidents: int, shifts: int) -> SuspectIntensity:
     )
 
 
-def _default_ward_names(case: CaseFile) -> list[str]:
-    names = [w.name for w in case.wards]
-    if RKZ_41 in names and RKZ_42 in names:
-        return [RKZ_41, RKZ_42]
-    return names
-
-
 def estimate_mu(
     case: CaseFile,
     basis: str,
@@ -129,7 +122,7 @@ def estimate_mu(
         if fixed_value is None:
             raise ValueError("basis 'fixed' requires fixed_value")
         return IntensityEstimate(mu=float(fixed_value), basis="fixed")
-    pool = pool_wards(case, names if names is not None else _default_ward_names(case))
+    pool = pool_wards(case, names if names is not None else case.default_ward_names())
     if basis == "include_suspect":
         numerator = pool.total_incidents
         denominator = pool.total_shifts
@@ -234,7 +227,7 @@ def conditional_binomial_test(
     mu_L = mu (mu_ratio_equal=True) the intensities cancel and p reduces to
     r_L / (r_L + r), needing no intensity estimate at all.
     """
-    pool = pool_wards(case, names if names is not None else _default_ward_names(case))
+    pool = pool_wards(case, names if names is not None else case.default_ward_names())
     r_L = pool.suspect_shifts
     r_others = pool.total_shifts - pool.suspect_shifts
     total = pool.total_incidents

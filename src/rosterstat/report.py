@@ -1,10 +1,11 @@
-"""Report assembly and the built-in reproduction suite.
+"""Analysis methods, report assembly and the built-in reproduction suite.
 
 Every rendered result carries its method identifier, the data variant it
 was computed on, and a caveat block stating the conditioning assumptions,
-so no number can be quoted without its model scope. The reproduction suite
-recomputes each published figure from the built-in case and marks a row
-pass/fail against its stated tolerance.
+so no number can be quoted without its model scope. run_method computes
+each analysis method; ``analyze`` and the reproduction suite both call it.
+The reproduction suite recomputes each published figure from the built-in
+case and marks a row pass/fail against its stated tolerance.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import asdict, dataclass, is_dataclass
 from typing import Any
 
 from rosterstat import bayes, frequentist, poisson_model, risk_sim
-from rosterstat.case import RKZ_41, RKZ_42, CaseFile, builtin_paper_case
-from rosterstat.distributions import hypergeom_tail
+from rosterstat.case import JKZ, RKZ_41, RKZ_42, CaseFile, builtin_paper_case, pool_wards
 
 GENERAL_CAVEATS = (
     "All conditional tests are computed given the observed totals of shifts "
@@ -73,6 +73,101 @@ def result_entry(label: str, result: Any, **extra: Any) -> dict:
         entry["value"] = _plain(result)
     entry.update({k: _plain(v) for k, v in extra.items()})
     return entry
+
+
+METHOD_CAVEATS = {
+    "elffers": frequentist.NOT_A_P_VALUE,
+    "bayes": bayes.INDEPENDENCE_NOTE,
+}
+
+
+def _parse_mu_basis(spec: str) -> tuple[str, float | None]:
+    if spec.startswith("fixed="):
+        return "fixed", float(spec.split("=", 1)[1])
+    basis = spec.replace("-", "_")
+    if basis not in ("exclude_suspect", "include_suspect"):
+        raise SystemExit(f"rosterstat: unknown --mu-basis {spec!r}")
+    return basis, None
+
+
+def run_method(
+    case: CaseFile,
+    method: str,
+    names: list[str],
+    *,
+    jkz_multiplier: int | None = None,
+    mu_basis: str = "exclude-suspect",
+    prior: float = 1e-5,
+    seed: int = 0,
+    replicates: int = 100_000,
+    workers: int = 1,
+) -> list[tuple[str, Any, dict]]:
+    """Run one analysis method over the named wards of a case.
+
+    Returns (label, result, extra fields) triples in report order; pass each
+    to result_entry. The defaults are those of ``rosterstat analyze``.
+    mu_basis is 'exclude-suspect', 'include-suspect' or 'fixed=<value>' and
+    is parsed only by the methods that read it. The choices the package
+    never defaults, a JKZ multiplier for 'elffers' and an evidence array for
+    'bayes', end the program with a message when missing.
+    """
+    if method == "elffers":
+        if jkz_multiplier is None:
+            raise SystemExit(
+                "rosterstat: --method elffers requires --jkz-multiplier; the "
+                "correction level is a subjective choice and is never defaulted"
+            )
+        outcome = frequentist.elffers_pipeline(case, jkz_multiplier)
+        return [("multiplied per-ward tails", outcome, {})]
+    if method == "per-ward":
+        return [(name, frequentist.ward_tail_p(case.ward(name)), {}) for name in names]
+    if method == "bonferroni":
+        tails = [frequentist.ward_tail_p(case.ward(name)).p_value for name in names]
+        own_count = case.ward(names[0]).nurse_count if len(names) == 1 else None
+        nurse_count = own_count or len(tails)
+        return [(f"Bonferroni over {names} with nurse_count={nurse_count}",
+                 frequentist.bonferroni_min(tails, nurse_count), {})]
+    if method == "pooled":
+        return [(f"pooled tail over {names}", frequentist.pooled_test(case, names), {})]
+    if method == "convolved":
+        return [(f"convolved sum tail over {names}",
+                 frequentist.convolved_sum_test(case, names), {})]
+    if method == "fisher":
+        tails = [frequentist.ward_tail_p(case.ward(name)).p_value for name in names]
+        return [(f"Fisher combination over {names}", frequentist.fisher_combine(tails), {})]
+    if method == "poisson-lr":
+        basis, fixed = _parse_mu_basis(mu_basis)
+        mu = poisson_model.estimate_mu(case, basis, names, fixed_value=fixed)
+        pool = pool_wards(case, names)
+        mu_l = poisson_model.observed_rate(pool.suspect_incidents, pool.suspect_shifts)
+        lr = poisson_model.lr_poisson(mu, mu_l, pool.suspect_shifts, pool.suspect_incidents)
+        return [(f"Poisson likelihood ratio over {names}", lr, {"mu": mu, "mu_L": mu_l})]
+    if method == "binomial-cond":
+        return [(f"conditional binomial test over {names}",
+                 poisson_model.conditional_binomial_test(case, names), {})]
+    if method == "bayes":
+        if not case.evidence:
+            raise SystemExit("rosterstat: case file has no evidence array")
+        shortcut = bayes.OddsState(prior_odds=prior)
+        strict = bayes.OddsState(prior_odds=bayes.odds_from_probability(prior))
+        for item in case.evidence:
+            shortcut = bayes.update(shortcut, item)
+            strict = bayes.update(strict, item)
+        return [
+            (f"odds chain, prior probability {prior} used as prior odds", shortcut,
+             {"posterior_probability": bayes.posterior_probability(shortcut)}),
+            (f"odds chain, strict prior odds p/(1-p) of {prior}", strict,
+             {"posterior_probability": bayes.posterior_probability(strict)}),
+        ]
+    if method == "relative-risk":
+        basis, fixed = _parse_mu_basis(mu_basis)
+        threshold = risk_sim.observed_threshold(case, names)
+        cfg = risk_sim.derive_sim_config(
+            case, names, basis, replicates=replicates, seed=seed, fixed_value=fixed)
+        sim = risk_sim.simulate_max_rr(cfg, threshold.value, workers=workers)
+        return [(f"observed relative risk over {names}", threshold, {}),
+                ("null calibration of the maximum relative risk", sim, {})]
+    raise ValueError(f"unknown method {method!r}")
 
 
 def build_report(case: CaseFile, method: str, results: list[dict],
@@ -142,25 +237,29 @@ def _two_sig_figs(x: float) -> str:
 def reproduce_paper(seed: int = 0, replicates: int = 100_000) -> list[ReproRow]:
     """Recompute every published figure from the built-in case.
 
-    Monte Carlo rows use the given seed (recorded in the row labels) and
-    are deterministic. Returns one row per figure; the caller decides what
-    a failed row means for the process exit status.
+    Each figure comes from run_method, the code ``analyze`` runs. Monte
+    Carlo rows use the given seed (recorded in the row labels) and are
+    deterministic. Returns one row per figure; the caller decides what a
+    failed row means for the process exit status.
     """
     rows: list[ReproRow] = []
     corrected = builtin_paper_case("corrected")
     original = builtin_paper_case("original")
-    rkz = [RKZ_41, RKZ_42]
+    rkz = corrected.default_ward_names()
 
-    # JKZ tail with the 27-nurse post-hoc multiplier
-    jkz = corrected.ward("JKZ")
-    bound = 27.0 * frequentist.ward_tail_p(jkz).p_value
+    def single(case: CaseFile, method: str, names: list[str], **settings: Any) -> Any:
+        [(_, result, _)] = run_method(case, method, names, **settings)
+        return result
+
+    # JKZ tail with the post-hoc multiplier of its 27 nurses
+    bound = single(corrected, "bonferroni", [JKZ]).p_value
     rows.append(ReproRow(
         "JKZ post-hoc bound: 27 x per-ward tail", "< 1/300,000", bound,
         "strict inequality", bound < 1.0 / 300_000.0,
     ))
 
     # pooled RKZ tail
-    pooled = frequentist.pooled_test(corrected, rkz).p_value
+    pooled = single(corrected, "pooled", rkz).p_value
     rows.append(ReproRow(
         "pooled RKZ tail", "0.0038", pooled,
         "rounds to 0.0038 at 2 significant figures",
@@ -168,7 +267,7 @@ def reproduce_paper(seed: int = 0, replicates: int = 100_000) -> list[ReproRow]:
     ))
 
     # convolved per-ward sum
-    convolved = frequentist.convolved_sum_test(corrected, rkz).p_value
+    convolved = single(corrected, "convolved", rkz).p_value
     rows.append(ReproRow(
         "convolved RKZ sum tail", "0.022", convolved,
         "rounds to 0.022 at 2 significant figures",
@@ -182,11 +281,8 @@ def reproduce_paper(seed: int = 0, replicates: int = 100_000) -> list[ReproRow]:
     ))
 
     # Poisson likelihood ratios
-    mu_excl = poisson_model.estimate_mu(corrected, "exclude_suspect", rkz)
-    mu_incl = poisson_model.estimate_mu(corrected, "include_suspect", rkz)
-    mu_l = poisson_model.observed_rate(6, 61)
-    lr1 = poisson_model.lr_poisson(mu_excl, mu_l, 61, 6)
-    lr2 = poisson_model.lr_poisson(mu_incl, mu_l, 61, 6)
+    lr1 = single(corrected, "poisson-lr", rkz, mu_basis="exclude_suspect")
+    lr2 = single(corrected, "poisson-lr", rkz, mu_basis="include_suspect")
     rows.append(ReproRow(
         "likelihood ratio, background from other nurses (13/614)", "90.7",
         lr1.value, "+/- 0.05", abs(lr1.value - 90.7) <= 0.05,
@@ -204,36 +300,25 @@ def reproduce_paper(seed: int = 0, replicates: int = 100_000) -> list[ReproRow]:
 
     # Bayesian chain (prior probability used directly as prior odds,
     # reproducing the published shortcut; the strict odds form is also shown)
-    state = bayes.OddsState(prior_odds=1e-5)
-    for item in corrected.evidence:
-        state = bayes.update(state, item)
+    (_, state, extra), (_, strict_state, _) = run_method(corrected, "bayes", rkz, prior=1e-5)
     rows.append(ReproRow(
         "posterior odds (prior probability used as prior odds)", "8.75",
         state.posterior_odds, "exact product arithmetic (1e-12)",
         abs(state.posterior_odds - 8.75) < 1e-12,
     ))
-    prob = bayes.posterior_probability(state)
+    prob = extra["posterior_probability"]
     rows.append(ReproRow(
         "posterior probability of guilt", "close to 90%", prob,
         "in [0.897, 0.898]", 0.897 <= prob <= 0.898,
     ))
-    strict_state = bayes.OddsState(prior_odds=bayes.odds_from_probability(1e-5))
-    for item in corrected.evidence:
-        strict_state = bayes.update(strict_state, item)
     rows.append(ReproRow(
         "posterior odds (strict odds p/(1-p) convention)", "roughly 8.75",
         strict_state.posterior_odds, "in [8.74, 8.76]",
         8.74 <= strict_state.posterior_odds <= 8.76,
     ))
 
-    # relative risk
-    rr = risk_sim.relative_risk(6, 61, 13, 614)
-    rows.append(ReproRow(
-        "suspect's relative risk over the RKZ", "about 4.65", rr.value,
-        "in [4.64, 4.66]", 4.64 <= rr.value <= 4.66,
-    ))
-
-    # Monte Carlo table: max relative risk among equal-shift nurses
+    # Monte Carlo table: max relative risk among equal-shift nurses; each
+    # run also gives the suspect's observed relative risk over its wards
     table = [
         ("whole RKZ", rkz, "exclude_suspect", 0.121),
         ("whole RKZ", rkz, "include_suspect", 0.042),
@@ -242,13 +327,22 @@ def reproduce_paper(seed: int = 0, replicates: int = 100_000) -> list[ReproRow]:
         ("RKZ-42", [RKZ_42], "exclude_suspect", 0.383),
         ("RKZ-42", [RKZ_42], "include_suspect", 0.286),
     ]
+    runs = {
+        (name, basis): run_method(corrected, "relative-risk", wards, mu_basis=basis,
+                                  seed=seed, replicates=replicates)
+        for name, wards, basis, _ in table
+    }
+
+    # relative risk
+    rr = runs[("whole RKZ", "exclude_suspect")][0][1]
+    rows.append(ReproRow(
+        "suspect's relative risk over the RKZ", "about 4.65", rr.value,
+        "in [4.64, 4.66]", 4.64 <= rr.value <= 4.66,
+    ))
+
     sim_values: dict[tuple[str, str], float] = {}
-    for name, wards, basis, target in table:
-        cfg = risk_sim.derive_sim_config(
-            corrected, wards, basis, replicates=replicates, seed=seed,
-        )
-        threshold = risk_sim.observed_threshold(corrected, wards).value
-        sim = risk_sim.simulate_max_rr(cfg, threshold)
+    for name, _, basis, target in table:
+        sim = runs[(name, basis)][1][1]
         sim_values[(name, basis)] = sim.p_value
         rows.append(ReproRow(
             f"max-relative-risk p-value, {name}, mu basis {basis} "
@@ -267,7 +361,7 @@ def reproduce_paper(seed: int = 0, replicates: int = 100_000) -> list[ReproRow]:
     ))
 
     # the original pipeline product, on the original data variant
-    pipeline = frequentist.elffers_pipeline(original, jkz_multiplier=27)
+    pipeline = single(original, "elffers", rkz, jkz_multiplier=27)
     rows.append(ReproRow(
         "original pipeline product (x27 at JKZ, original variant; NOT a p-value)",
         "reported as less than 1 in 342 million", pipeline.p_value,
@@ -276,7 +370,7 @@ def reproduce_paper(seed: int = 0, replicates: int = 100_000) -> list[ReproRow]:
     ))
 
     # conditional binomial vs pooled hypergeometric
-    binom = poisson_model.conditional_binomial_test(corrected, rkz).p_value
+    binom = single(corrected, "binomial-cond", rkz).p_value
     ratio = binom / pooled
     rows.append(ReproRow(
         "conditional binomial vs pooled hypergeometric",
@@ -288,7 +382,7 @@ def reproduce_paper(seed: int = 0, replicates: int = 100_000) -> list[ReproRow]:
         "pooled RKZ tail, exact value for reference (see notes)",
         "paper prints 0.0038; the exact >=6 tail with the corrected counts "
         "is 0.0045, while the tail with the uncorrected 59 shifts is 0.0038",
-        hypergeom_tail(675, 61, 19, 6), "informational", True,
+        pooled, "informational", True,
     ))
     return rows
 

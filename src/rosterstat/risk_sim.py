@@ -183,14 +183,10 @@ def simulate_max_rr(cfg: SimulationConfig, threshold: float,
     stride = 4 * math.ceil(cfg.nurse_count / 4)
     bounds = np.linspace(0, cfg.replicates, workers + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    if workers == 1:
-        results = [_simulate_range(cfg, threshold, cdf, a, b, stride) for a, b in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda ab: _simulate_range(cfg, threshold, cdf, *ab, stride),
-                         ranges)
-            )
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(
+            pool.map(lambda ab: _simulate_range(cfg, threshold, cdf, *ab, stride), ranges)
+        )
     exceed = sum(r[0] for r in results)
     degenerate = sum(r[1] for r in results)
     p = exceed / cfg.replicates

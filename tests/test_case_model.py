@@ -11,6 +11,7 @@ from rosterstat.case import (
     pool_wards,
     serialize_case,
 )
+from rosterstat.poisson_model import conditional_binomial_test, estimate_mu
 
 VALID_DOC = {
     "case_name": "demo",
@@ -192,6 +193,35 @@ class TestPoolWards:
         assert all_three.total_shifts == jkz.total_shifts + partial.total_shifts
         assert all_three.suspect_incidents == (
             jkz.suspect_incidents + partial.suspect_incidents)
+
+
+class TestDefaultWardNames:
+    def test_rkz_pair_in_fixed_order(self):
+        doc = json.loads(json.dumps(VALID_DOC))
+        rkz42 = dict(doc["wards"][1], name="RKZ-42")
+        doc["wards"].insert(0, rkz42)
+        case = parse_case(json.dumps(doc))
+        assert [w.name for w in case.wards] == ["RKZ-42", "JKZ", "RKZ-41"]
+        assert case.default_ward_names() == ["RKZ-41", "RKZ-42"]
+
+    def test_builtin_case_uses_rkz_pair(self):
+        assert builtin_paper_case("original").default_ward_names() == ["RKZ-41", "RKZ-42"]
+
+    def test_one_rkz_ward_gives_all_wards_in_file_order(self):
+        case = parse_case(json.dumps(VALID_DOC))
+        assert case.default_ward_names() == ["JKZ", "RKZ-41"]
+
+    NO_RKZ = CaseFile("c", "s", (WardRoster("W2", 200, 20, 10, 4),
+                                 WardRoster("W1", 150, 30, 12, 5)))
+
+    def test_no_rkz_ward_gives_all_wards_in_file_order(self):
+        assert self.NO_RKZ.default_ward_names() == ["W2", "W1"]
+
+    def test_methods_default_to_these_wards(self):
+        case, names = self.NO_RKZ, ["W2", "W1"]
+        for basis in ("exclude_suspect", "include_suspect"):
+            assert estimate_mu(case, basis) == estimate_mu(case, basis, names)
+        assert conditional_binomial_test(case) == conditional_binomial_test(case, names)
 
 
 def test_case_requires_unique_ward_names():

@@ -4,6 +4,7 @@ import pytest
 
 from rosterstat.case import builtin_paper_case, serialize_case
 from rosterstat.cli import main
+from rosterstat.report import reproduce_paper
 
 
 def run(capsys, *argv):
@@ -147,3 +148,74 @@ class TestReproducePaper:
         _, second, _ = run(capsys, "reproduce-paper", "--replicates", "2000",
                            "--seed", "3", "--output", "machine")
         assert first == second
+
+
+class TestAnalyzeMatchesReproduce:
+    """Each figure reproduce-paper checks is the number analyze prints."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return {row.label: row.computed
+                for row in reproduce_paper(seed=3, replicates=2000)}
+
+    def analyze(self, capsys, *argv):
+        code, out, _ = run(capsys, "analyze", "--output", "machine", *argv)
+        assert code == 0
+        return json.loads(out)["results"]
+
+    @pytest.mark.parametrize("argv, path, label", [
+        (["--method", "bonferroni", "--wards", "JKZ"], [0, "p_value"],
+         "JKZ post-hoc bound: 27 x per-ward tail"),
+        (["--method", "pooled"], [0, "p_value"], "pooled RKZ tail"),
+        (["--method", "pooled"], [0, "p_value"],
+         "pooled RKZ tail, exact value for reference (see notes)"),
+        (["--method", "convolved"], [0, "p_value"], "convolved RKZ sum tail"),
+        (["--method", "poisson-lr", "--mu-basis", "exclude-suspect"],
+         [0, "LikelihoodRatio", "value"],
+         "likelihood ratio, background from other nurses (13/614)"),
+        (["--method", "poisson-lr", "--mu-basis", "include-suspect"],
+         [0, "LikelihoodRatio", "value"],
+         "likelihood ratio, background from all nurses (19/675)"),
+        (["--method", "bayes"], [0, "OddsState", "posterior_odds"],
+         "posterior odds (prior probability used as prior odds)"),
+        (["--method", "bayes"], [0, "posterior_probability"],
+         "posterior probability of guilt"),
+        (["--method", "bayes"], [1, "OddsState", "posterior_odds"],
+         "posterior odds (strict odds p/(1-p) convention)"),
+        (["--method", "relative-risk", "--seed", "3", "--replicates", "2000"],
+         [0, "RelativeRisk", "value"], "suspect's relative risk over the RKZ"),
+    ])
+    def test_corrected_figure(self, capsys, rows, argv, path, label):
+        value = self.analyze(capsys, "--builtin", "corrected", *argv)
+        for key in path:
+            value = value[key]
+        assert value == rows[label]
+
+    def test_original_pipeline(self, capsys, rows):
+        results = self.analyze(capsys, "--builtin", "original", "--method",
+                               "elffers", "--jkz-multiplier", "27")
+        assert results[0]["p_value"] == rows[
+            "original pipeline product (x27 at JKZ, original variant; NOT a p-value)"]
+
+    def test_binomial_over_pooled_ratio(self, capsys, rows):
+        binom = self.analyze(capsys, "--builtin", "corrected", "--method",
+                             "binomial-cond")[0]["p_value"]
+        pooled = self.analyze(capsys, "--builtin", "corrected", "--method",
+                              "pooled")[0]["p_value"]
+        assert binom / pooled == rows["conditional binomial vs pooled hypergeometric"]
+
+    @pytest.mark.parametrize("wards, flag", [
+        ("whole RKZ", "RKZ-41,RKZ-42"), ("RKZ-41", "RKZ-41"), ("RKZ-42", "RKZ-42"),
+    ])
+    @pytest.mark.parametrize("basis", ["exclude_suspect", "include_suspect"])
+    def test_simulation_table(self, capsys, rows, wards, flag, basis):
+        results = self.analyze(capsys, "--builtin", "corrected", "--method",
+                               "relative-risk", "--wards", flag, "--mu-basis", basis,
+                               "--seed", "3", "--replicates", "2000")
+        label = (f"max-relative-risk p-value, {wards}, mu basis {basis} "
+                 "(seed 3, 2000 replicates)")
+        assert results[1]["SimulationReport"]["p_value"] == rows[label]
+
+    def test_reference_row_is_the_pooled_tail(self, rows):
+        assert (rows["pooled RKZ tail, exact value for reference (see notes)"]
+                == rows["pooled RKZ tail"])
