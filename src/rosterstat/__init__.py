@@ -33,11 +33,10 @@ from rosterstat.distributions import (
     DiscreteDist,
     binomial_tail,
     chi2_survival_even,
-    convolve_tail,
+    convolve,
     hypergeom_dist,
     hypergeom_pmf,
     hypergeom_tail,
-    log_binomial,
     poisson_pmf,
 )
 from rosterstat.frequentist import (
@@ -93,7 +92,7 @@ __all__ = [
     "builtin_paper_case",
     "chi2_survival_even",
     "conditional_binomial_test",
-    "convolve_tail",
+    "convolve",
     "convolved_sum_test",
     "derive_sim_config",
     "elffers_pipeline",
@@ -105,7 +104,6 @@ __all__ = [
     "hypergeom_dist",
     "hypergeom_pmf",
     "hypergeom_tail",
-    "log_binomial",
     "lr_poisson",
     "observed_rate",
     "observed_threshold",

@@ -126,22 +126,17 @@ class CaseFile:
         return names
 
 
-_WARD_KEYS = {
-    "name",
-    "total_shifts",
-    "suspect_shifts",
-    "total_incidents",
-    "suspect_incidents",
-    "nurse_count",
-}
+_COUNT_KEYS = ("total_shifts", "suspect_shifts", "total_incidents", "suspect_incidents")
+_WARD_KEYS = {"name", "nurse_count", *_COUNT_KEYS}
 _CASE_KEYS = {"case_name", "suspect", "variant", "wards", "evidence"}
 _EVIDENCE_KEYS = {"label", "lr", "provenance"}
 
 
-def _require_int(obj: dict, key: str, where: str) -> int:
+def _require(obj: dict, key: str, where: str, kinds: type | tuple[type, ...], what: str):
+    """obj[key] if it is one of the JSON kinds given (never a boolean)."""
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CaseValidationError(f"{where}: {key} must be a decimal integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise CaseValidationError(f"{where}: {key} must be {what}, got {value!r}")
     return value
 
 
@@ -164,32 +159,24 @@ def parse_case(text: str | bytes) -> CaseFile:
         if key not in raw:
             raise CaseValidationError(f"missing required key {key!r}")
     wards = []
-    for i, entry in enumerate(raw["wards"]):
+    for i, entry in enumerate(_require(raw, "wards", "case file", list, "an array")):
         if not isinstance(entry, dict):
             raise CaseValidationError(f"ward #{i} must be an object")
         unknown = set(entry) - _WARD_KEYS
         if unknown:
             raise CaseValidationError(f"ward #{i}: unknown keys {sorted(unknown)}")
-        where = entry.get("name", f"ward #{i}")
-        for key in ("name", "total_shifts", "suspect_shifts", "total_incidents",
-                    "suspect_incidents"):
+        if "name" not in entry:
+            raise CaseValidationError(f"ward #{i}: missing key 'name'")
+        name = _require(entry, "name", f"ward #{i}", str, "a string")
+        for key in _COUNT_KEYS:
             if key not in entry:
-                raise CaseValidationError(f"{where}: missing key {key!r}")
-        nurse_count = None
-        if "nurse_count" in entry:
-            nurse_count = _require_int(entry, "nurse_count", where)
-        wards.append(
-            WardRoster(
-                name=str(entry["name"]),
-                total_shifts=_require_int(entry, "total_shifts", where),
-                suspect_shifts=_require_int(entry, "suspect_shifts", where),
-                total_incidents=_require_int(entry, "total_incidents", where),
-                suspect_incidents=_require_int(entry, "suspect_incidents", where),
-                nurse_count=nurse_count,
-            )
-        )
+                raise CaseValidationError(f"{name}: missing key {key!r}")
+        counts = {key: _require(entry, key, name, int, "a decimal integer")
+                  for key in (*_COUNT_KEYS, "nurse_count") if key in entry}
+        wards.append(WardRoster(name=name, **counts))
     evidence = []
-    for i, entry in enumerate(raw.get("evidence", [])):
+    raw.setdefault("evidence", [])
+    for i, entry in enumerate(_require(raw, "evidence", "case file", list, "an array")):
         if not isinstance(entry, dict):
             raise CaseValidationError(f"evidence #{i} must be an object")
         unknown = set(entry) - _EVIDENCE_KEYS
@@ -197,18 +184,22 @@ def parse_case(text: str | bytes) -> CaseFile:
             raise CaseValidationError(f"evidence #{i}: unknown keys {sorted(unknown)}")
         if "label" not in entry or "lr" not in entry:
             raise CaseValidationError(f"evidence #{i}: needs 'label' and 'lr'")
-        evidence.append(
-            EvidenceItem(
-                label=str(entry["label"]),
-                lr=float(entry["lr"]),
-                provenance=str(entry.get("provenance", "")),
-            )
-        )
+        where = f"evidence #{i}"
+        entry.setdefault("provenance", "")
+        try:
+            lr = float(_require(entry, "lr", where, (int, float), "a number"))
+        except OverflowError:
+            raise CaseValidationError(f"{where}: lr is too large") from None
+        evidence.append(EvidenceItem(
+            label=_require(entry, "label", where, str, "a string"),
+            lr=lr,
+            provenance=_require(entry, "provenance", where, str, "a string"),
+        ))
     return CaseFile(
-        case_name=str(raw["case_name"]),
-        suspect=str(raw["suspect"]),
+        case_name=_require(raw, "case_name", "case file", str, "a string"),
+        suspect=_require(raw, "suspect", "case file", str, "a string"),
         wards=tuple(wards),
-        variant=str(raw["variant"]),
+        variant=_require(raw, "variant", "case file", str, "a string"),
         evidence=tuple(evidence),
     )
 

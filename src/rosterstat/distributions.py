@@ -1,25 +1,26 @@
 """Exact discrete-distribution kernels.
 
-Everything here works in log space so that counts like C(1029, 142) never
-overflow, and tail sums use compensated summation so that bounds at the
-1e-7 level survive cancellation. Probabilities that land within 1e-12 of
-[0, 1] are clamped to the boundary; anything further out raises, because a
-larger excursion means a bug rather than rounding.
+Each hypergeometric and binomial pmf is built once, as a whole vector, from
+the logs of its successive term ratios p(x+1)/p(x), cumulated out from the
+mode (the term-ratio recurrence discussed by Loader, "Fast and accurate
+computation of binomial probabilities", 2000). No binomial coefficient is
+ever formed, so counts like C(1029, 142) never overflow. A tail is the
+exactly rounded ``math.fsum`` of a slice of that vector, and the sum of
+independent counts is one ``np.convolve`` chain over their vectors.
+Probabilities that land within 1e-12 of [0, 1] are clamped to the
+boundary; anything further out raises, because a larger excursion means a
+bug rather than rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _CLAMP_TOL = 1e-12
-
-# Below this, ln C(n,k) is computed as a compensated sum of log-ratios,
-# which keeps the relative error near machine epsilon even when the
-# result itself is small (lgamma differences lose absolute accuracy).
-_SMALL_K = 64
 
 
 class ConsistencyError(ArithmeticError):
@@ -36,20 +37,6 @@ def _clamp_probability(p: float) -> float:
             raise ConsistencyError(f"probability {p!r} above 1 beyond tolerance")
         return 1.0
     return p
-
-
-def log_binomial(n: int, k: int) -> float:
-    """Natural log of the binomial coefficient C(n, k)."""
-    if n < 0 or k < 0:
-        raise ValueError(f"log_binomial requires non-negative arguments, got ({n}, {k})")
-    if k > n:
-        raise ValueError(f"log_binomial requires k <= n, got k={k} > n={n}")
-    k = min(k, n - k)
-    if k == 0:
-        return 0.0
-    if k <= _SMALL_K:
-        return math.fsum(math.log((n - k + i) / i) for i in range(1, k + 1))
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 @dataclass(frozen=True)
@@ -74,52 +61,58 @@ class DiscreteDist:
     def support_max(self) -> int:
         return self.support_min + len(self.probabilities) - 1
 
+    def tail(self, x_min: int) -> float:
+        """P(X >= x_min), as an exactly rounded sum of the upper slice."""
+        if x_min <= self.support_min:
+            return 1.0
+        upper = self.probabilities[x_min - self.support_min:]
+        return _clamp_probability(math.fsum(upper.tolist()))
 
-def _check_hypergeom_params(n: int, r: int, k: int) -> None:
+
+def _from_log_ratios(support_min: int, log_ratios: np.ndarray) -> DiscreteDist:
+    """The pmf whose successive ratios p(x+1)/p(x) have these logs.
+
+    The pmf must be log-concave (the ratios decrease), so its mode sits
+    just after the last positive log-ratio. The logs are cumulated out from
+    the mode, which keeps each point's rounding error to the steps between
+    it and the mode, and every point is scaled by the mode's value before
+    normalising, so nothing overflows.
+    """
+    mode = int(np.count_nonzero(log_ratios > 0))
+    log_p = np.zeros(len(log_ratios) + 1)
+    log_p[mode + 1:] = np.cumsum(log_ratios[mode:])
+    log_p[:mode] = -np.cumsum(log_ratios[:mode][::-1])[::-1]
+    probs = np.exp(log_p)
+    return DiscreteDist(support_min, probs / math.fsum(probs.tolist()))
+
+
+def hypergeom_dist(n: int, r: int, k: int) -> DiscreteDist:
+    """The conditional pmf of the suspect's incident count, over its support.
+
+    P(X = x) is C(r,x) * C(n-r, k-x) / C(n,k): incidents land uniformly on
+    shifts, conditioned on the observed totals, which cancels the unknown
+    per-shift incident probability.
+    """
     if not (0 <= r <= n):
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    lo = max(0, k - (n - r))
+    x = np.arange(lo, min(r, k), dtype=float)
+    return _from_log_ratios(lo, np.log((r - x) * (k - x) / ((x + 1) * (n - r - k + x + 1))))
 
 
 def hypergeom_pmf(n: int, r: int, k: int, x: int) -> float:
-    """P(suspect saw exactly x of the k incidents | r of n shifts were hers).
-
-    This is C(r,x) * C(n-r, k-x) / C(n,k): incidents land uniformly on
-    shifts, conditioned on the observed totals, which cancels the unknown
-    per-shift incident probability.
-    """
-    _check_hypergeom_params(n, r, k)
-    if x < max(0, k - (n - r)) or x > min(r, k):
+    """P(suspect saw exactly x of the k incidents | r of n shifts were hers)."""
+    dist = hypergeom_dist(n, r, k)
+    if not dist.support_min <= x <= dist.support_max:
         return 0.0
-    log_p = log_binomial(r, x) + log_binomial(n - r, k - x) - log_binomial(n, k)
-    return _clamp_probability(math.exp(log_p))
+    return float(dist.probabilities[x - dist.support_min])
 
 
 def hypergeom_tail(n: int, r: int, k: int, x_min: int) -> float:
     """P(suspect saw at least x_min incidents) under the conditional model."""
-    _check_hypergeom_params(n, r, k)
-    lo = max(0, k - (n - r))
-    hi = min(r, k)
-    if x_min <= lo:
-        return 1.0
-    if x_min > hi:
-        return 0.0
-    return _clamp_probability(
-        math.fsum(hypergeom_pmf(n, r, k, x) for x in range(x_min, hi + 1))
-    )
-
-
-def hypergeom_dist(n: int, r: int, k: int) -> DiscreteDist:
-    """The full conditional pmf as a DiscreteDist (for convolutions)."""
-    _check_hypergeom_params(n, r, k)
-    lo = max(0, k - (n - r))
-    hi = min(r, k)
-    probs = np.array([hypergeom_pmf(n, r, k, x) for x in range(lo, hi + 1)])
-    total = math.fsum(probs.tolist())
-    # renormalize rounding residue (|1 - total| <= a few ulps) so the
-    # DiscreteDist invariant holds exactly
-    return DiscreteDist(lo, probs / total)
+    return hypergeom_dist(n, r, k).tail(x_min)
 
 
 def binomial_tail(trials: int, success_prob: float, x_min: int) -> float:
@@ -128,22 +121,21 @@ def binomial_tail(trials: int, success_prob: float, x_min: int) -> float:
         raise ValueError(f"trials must be non-negative, got {trials}")
     if not (0.0 <= success_prob <= 1.0):
         raise ValueError(f"success_prob must be in [0, 1], got {success_prob!r}")
-    if x_min <= 0:
-        return 1.0
-    if x_min > trials:
-        return 0.0
-    p = success_prob
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    log_p = math.log(p)
-    log_q = math.log1p(-p)
-    terms = [
-        math.exp(log_binomial(trials, x) + x * log_p + (trials - x) * log_q)
-        for x in range(x_min, trials + 1)
-    ]
-    return _clamp_probability(math.fsum(terms))
+    if success_prob == 0.0:
+        return 1.0 if x_min <= 0 else 0.0
+    if success_prob == 1.0:
+        return 1.0 if x_min <= trials else 0.0
+    x = np.arange(trials, dtype=float)
+    log_odds = math.log(success_prob) - math.log1p(-success_prob)
+    return _from_log_ratios(0, np.log((trials - x) / (x + 1)) + log_odds).tail(x_min)
+
+
+def convolve(*dists: DiscreteDist) -> DiscreteDist:
+    """The distribution of the sum of independent variables with these pmfs."""
+    if not dists:
+        raise ValueError("convolve needs at least one distribution")
+    probs = functools.reduce(np.convolve, [d.probabilities for d in dists])
+    return DiscreteDist(sum(d.support_min for d in dists), probs)
 
 
 def poisson_pmf(mean: float, k: int) -> float:
@@ -174,35 +166,3 @@ def chi2_survival_even(x: float, dof: int) -> float:
     log_half = math.log(half)
     terms = [math.exp(-half + j * log_half - math.lgamma(j + 1)) for j in range(n)]
     return _clamp_probability(math.fsum(terms))
-
-
-def convolve_tail(d1: DiscreteDist, d2: DiscreteDist, s_min: int) -> float:
-    """P(X1 + X2 >= s_min) for independent X1 ~ d1, X2 ~ d2.
-
-    Exact double summation; for each point of the shorter support the other
-    distribution contributes a precomputed suffix sum.
-    """
-    if len(d1.probabilities) > len(d2.probabilities):
-        d1, d2 = d2, d1
-    if s_min <= d1.support_min + d2.support_min:
-        return 1.0
-    # suffix[j] = P(X2 >= d2.support_min + j), computed back to front
-    suffix = np.zeros(len(d2.probabilities) + 1)
-    acc = 0.0
-    comp = 0.0
-    for j in range(len(d2.probabilities) - 1, -1, -1):
-        # Kahan accumulation; the tail bound must survive cancellation
-        y = float(d2.probabilities[j]) - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        suffix[j] = acc
-    pieces = []
-    for i, p1 in enumerate(d1.probabilities.tolist()):
-        need = s_min - (d1.support_min + i) - d2.support_min
-        if need <= 0:
-            pieces.append(p1)
-        elif need <= len(d2.probabilities):
-            pieces.append(p1 * suffix[need])
-        # else: X2 cannot reach, contributes 0
-    return _clamp_probability(math.fsum(pieces))

@@ -14,13 +14,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from rosterstat.case import JKZ, CaseFile, WardRoster, pool_wards
 from rosterstat.distributions import (
-    DiscreteDist,
     chi2_survival_even,
-    convolve_tail,
+    convolve,
     hypergeom_dist,
     hypergeom_tail,
 )
@@ -157,19 +154,9 @@ def convolved_sum_test(case: CaseFile, names: Sequence[str]) -> TestResult:
         hypergeom_dist(w.total_shifts, w.suspect_shifts, w.total_incidents)
         for w in rosters
     ]
-    if len(dists) == 1:
-        p = ward_tail_p(rosters[0]).p_value
-    else:
-        # fold all but the last ward into one pmf, then take the exact tail
-        probs = dists[0].probabilities
-        support_min = dists[0].support_min
-        for d in dists[1:-1]:
-            probs = np.convolve(probs, d.probabilities)
-            support_min += d.support_min
-        head = DiscreteDist(support_min, probs / math.fsum(probs.tolist()))
-        p = convolve_tail(head, dists[-1], s_min)
+    p = convolve(*dists).tail(s_min)
     components = tuple(
-        (w.name, ward_tail_p(w).p_value, 1.0) for w in rosters
+        (w.name, d.tail(w.suspect_incidents), 1.0) for w, d in zip(rosters, dists)
     )
     return TestResult(
         method="convolved_sum",

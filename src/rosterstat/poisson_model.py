@@ -46,8 +46,8 @@ class IntensityEstimate:
     def __post_init__(self) -> None:
         if self.basis not in MU_BASES:
             raise ValueError(f"basis must be one of {MU_BASES}, got {self.basis!r}")
-        if not self.mu > 0:
-            raise ValueError(f"intensity must be positive, got {self.mu!r}")
+        if not (self.mu > 0 and math.isfinite(self.mu)):
+            raise ValueError(f"intensity must be positive and finite, got {self.mu!r}")
         if self.basis != "fixed":
             if self.denominator <= 0 or self.numerator <= 0:
                 raise ValueError("data-derived intensities need positive counts")

@@ -11,6 +11,7 @@ case and marks a row pass/fail against its stated tolerance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, is_dataclass
 from typing import Any
 
@@ -83,11 +84,18 @@ METHOD_CAVEATS = {
 
 def _parse_mu_basis(spec: str) -> tuple[str, float | None]:
     if spec.startswith("fixed="):
-        return "fixed", float(spec.split("=", 1)[1])
-    basis = spec.replace("-", "_")
-    if basis not in ("exclude_suspect", "include_suspect"):
-        raise SystemExit(f"rosterstat: unknown --mu-basis {spec!r}")
-    return basis, None
+        try:
+            value = float(spec.split("=", 1)[1])
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and value > 0:
+            return "fixed", value
+    elif spec.replace("-", "_") in ("exclude_suspect", "include_suspect"):
+        return spec.replace("-", "_"), None
+    raise SystemExit(
+        f"rosterstat: unknown --mu-basis {spec!r}; expected exclude-suspect, "
+        "include-suspect or fixed=<finite positive number>"
+    )
 
 
 def run_method(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -93,8 +94,8 @@ class SimulationConfig:
             raise ValueError(f"nurse_count must be >= 2, got {self.nurse_count}")
         if self.shifts_per_nurse < 1:
             raise ValueError(f"shifts_per_nurse must be >= 1, got {self.shifts_per_nurse}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu!r}")
+        if not (self.mu > 0 and math.isfinite(self.mu)):
+            raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not (0 <= self.seed < 2**64):
@@ -183,7 +184,9 @@ def simulate_max_rr(cfg: SimulationConfig, threshold: float,
     stride = 4 * math.ceil(cfg.nurse_count / 4)
     bounds = np.linspace(0, cfg.replicates, workers + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # threads beyond the core count cannot run at once; the ranges still
+    # follow workers, so the partition is the same on every machine
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         results = list(
             pool.map(lambda ab: _simulate_range(cfg, threshold, cdf, *ab, stride), ranges)
         )

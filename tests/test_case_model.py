@@ -101,6 +101,31 @@ class TestParseCase:
         assert [e.lr for e in case.evidence] == [0.5, 50.0]
         assert case.evidence[0].provenance == "expert"
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("wards",), 5, "case file: wards must be an array"),
+        (("evidence",), 5, "case file: evidence must be an array"),
+        (("case_name",), [1], "case file: case_name must be a string"),
+        (("suspect",), 7, "case file: suspect must be a string"),
+        (("variant",), None, "case file: variant must be a string"),
+        (("wards", 1, "name"), 7, "ward #1: name must be a string"),
+        (("evidence", 1, "label"), 3, "evidence #1: label must be a string"),
+        (("evidence", 0, "provenance"), ["x"], "evidence #0: provenance must be a string"),
+        (("evidence", 1, "lr"), "0.5", "evidence #1: lr must be a number"),
+        (("evidence", 1, "lr"), True, "evidence #1: lr must be a number"),
+        (("evidence", 1, "lr"), 10**400, "evidence #1: lr is too large"),
+    ], ids=["wards", "evidence", "case_name", "suspect", "variant", "ward-name",
+            "label", "provenance", "lr-string", "lr-bool", "lr-huge-int"])
+    def test_wrong_json_type_rejected(self, path, value, message):
+        doc = json.loads(json.dumps(VALID_DOC))
+        doc["evidence"] = [{"label": "E1", "lr": 0.5, "provenance": "expert"},
+                           {"label": "E2", "lr": 50}]
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(CaseValidationError, match=message):
+            parse_case(json.dumps(doc))
+
 
 class TestRoundTrip:
     def test_parse_serialize_identity(self):

@@ -45,6 +45,15 @@ class TestAnalyze:
         assert code == 2
         assert "rosterstat:" in err
 
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys):
+        doc = json.loads(serialize_case(builtin_paper_case("corrected")))
+        doc["evidence"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "analyze", "--case", str(bad), "--method", "pooled")
+        assert code == 2
+        assert err == "rosterstat: case file: evidence must be an array, got 5\n"
+
     def test_case_file_from_disk(self, tmp_path, capsys):
         path = tmp_path / "case.json"
         path.write_text(serialize_case(builtin_paper_case("corrected")),
@@ -82,6 +91,24 @@ class TestAnalyze:
         assert code == 0
         value = json.loads(out)["results"][0]["LikelihoodRatio"]["value"]
         assert value == pytest.approx(90.66, abs=0.05)
+
+    @pytest.mark.parametrize("method", ["poisson-lr", "relative-risk"])
+    @pytest.mark.parametrize("spec", [
+        "bogus", "fixed=abc", "fixed=", "fixed=inf", "fixed=-inf", "fixed=nan",
+        "fixed=0", "fixed=-0.5",
+    ])
+    def test_bad_mu_basis_names_the_flag(self, capsys, method, spec):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "analyze", "--builtin", "corrected", "--method", method,
+                "--mu-basis", spec, "--replicates", "100")
+        assert isinstance(exc.value.code, str)  # a message: exit status 1
+        assert f"--mu-basis {spec!r}" in exc.value.code
+
+    def test_mu_basis_ignored_by_methods_that_do_not_read_it(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--builtin", "corrected",
+                           "--method", "pooled", "--mu-basis", "fixed=inf")
+        assert code == 0
+        assert "0.004546" in out
 
     def test_bayes_reports_both_conventions(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "corrected",

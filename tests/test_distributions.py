@@ -13,20 +13,24 @@ from math import comb
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+
+from rosterstat.case import CaseFile, WardRoster
 
 from rosterstat.distributions import (
     ConsistencyError,
     DiscreteDist,
     binomial_tail,
     chi2_survival_even,
-    convolve_tail,
+    convolve,
     hypergeom_dist,
     hypergeom_pmf,
     hypergeom_tail,
-    log_binomial,
     poisson_pmf,
 )
+from rosterstat.frequentist import convolved_sum_test, ward_tail_p
 
 
 def exact_hg_pmf(n, r, k, x):
@@ -36,34 +40,6 @@ def exact_hg_pmf(n, r, k, x):
 def exact_hg_tail(n, r, k, x_min):
     lo = max(x_min, max(0, k - (n - r)))
     return sum(exact_hg_pmf(n, r, k, x) for x in range(lo, min(r, k) + 1))
-
-
-class TestLogBinomial:
-    def test_small_case(self):
-        assert log_binomial(4, 2) == pytest.approx(math.log(6), rel=1e-14)
-
-    def test_choose_zero(self):
-        assert log_binomial(17, 0) == 0.0
-        assert log_binomial(0, 0) == 0.0
-
-    def test_big_integer_oracle(self):
-        # exact big-integer factorial ratio, evaluated once
-        exact = math.log(comb(1029, 8))
-        assert log_binomial(1029, 8) == pytest.approx(exact, rel=1e-12)
-
-    @pytest.mark.parametrize("n", [10, 100, 1000, 10_000])
-    def test_relative_error_across_scales(self, n):
-        for k in (1, 2, n // 3, n // 2, n - 1):
-            exact = mpmath.log(mpmath.binomial(n, k))
-            assert log_binomial(n, k) == pytest.approx(float(exact), rel=1e-12)
-
-    def test_k_greater_than_n_rejected(self):
-        with pytest.raises(ValueError):
-            log_binomial(3, 4)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            log_binomial(-1, 0)
 
 
 class TestHypergeomPmf:
@@ -136,6 +112,27 @@ class TestHypergeomTail:
 
     def test_beyond_support_is_zero(self):
         assert hypergeom_tail(10, 3, 2, 3) == 0.0
+
+    @pytest.mark.parametrize("n, r, k, x_min", [
+        (2000, 500, 200, 70),
+        (5000, 1000, 300, 80),
+        (10000, 2000, 1000, 260),
+        # a tail just below 1: summing per-point pmfs overshot 1 by 1.2e-12
+        (1555, 520, 266, 40),
+        # 800 steps from the support's start to the mode: cumulating the
+        # log-ratios from the start instead of the mode misses by 6e-13
+        (2915, 1206, 1862, 812),
+    ])
+    def test_large_rosters_match_exact(self, n, r, k, x_min):
+        exact = float(exact_hg_tail(n, r, k, x_min))
+        assert hypergeom_tail(n, r, k, x_min) == pytest.approx(exact, rel=1e-13, abs=0)
+
+    def test_support_ends_far_below_the_mode(self):
+        # the ends are about 1e-30000 of the mode; the pmf is symmetric about
+        # 25000, so P(X >= 25001) = P(X <= 24999) = 1 - P(X >= 25000)
+        upper = hypergeom_tail(100_000, 50_000, 50_000, 25_000)
+        assert upper + hypergeom_tail(100_000, 50_000, 50_000, 25_001) == pytest.approx(
+            1.0, abs=1e-15)
 
 
 class TestBinomialTail:
@@ -224,7 +221,7 @@ class TestConvolveTail:
     def test_paper_rkz_pair(self):
         d1 = hypergeom_dist(336, 3, 5)
         d2 = hypergeom_dist(339, 58, 14)
-        got = convolve_tail(d1, d2, 6)
+        got = convolve(d1, d2).tail(6)
         exact = sum(
             exact_hg_pmf(336, 3, 5, a) * exact_hg_pmf(339, 58, 14, b)
             for a in range(0, 4)
@@ -237,7 +234,7 @@ class TestConvolveTail:
     def test_minimum_sum_gives_one(self):
         d1 = hypergeom_dist(8, 3, 6)  # support starts at 1
         d2 = hypergeom_dist(5, 2, 2)
-        assert convolve_tail(d1, d2, d1.support_min + d2.support_min) == 1.0
+        assert convolve(d1, d2).tail(d1.support_min + d2.support_min) == 1.0
 
     def test_two_small_copies_brute_force(self):
         d = hypergeom_dist(5, 2, 2)
@@ -247,7 +244,7 @@ class TestConvolveTail:
             for b in range(3)
             if a + b >= 3
         )
-        assert convolve_tail(d, d, 3) == pytest.approx(float(exact), rel=1e-12)
+        assert convolve(d, d).tail(3) == pytest.approx(float(exact), rel=1e-12)
 
     def test_matches_joint_enumeration(self):
         rng = np.random.default_rng(7)
@@ -263,7 +260,7 @@ class TestConvolveTail:
                 for j in range(len(p2))
                 if (d1.support_min + i) + (d2.support_min + j) >= s
             )
-            assert convolve_tail(d1, d2, s) == pytest.approx(brute, abs=1e-12)
+            assert convolve(d1, d2).tail(s) == pytest.approx(brute, abs=1e-12)
 
 
 class TestDiscreteDist:
@@ -286,3 +283,83 @@ def test_clamp_only_near_boundary():
         _clamp_probability(1.001)
     with pytest.raises(ConsistencyError):
         _clamp_probability(-1e-6)
+
+
+# Property tests over random rosters. derandomize keeps every run on the
+# same examples, so a failure reproduces.
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def rosters(draw, max_shifts=60):
+    n = draw(st.integers(1, max_shifts))
+    r = draw(st.integers(0, n))
+    k = draw(st.integers(0, n))
+    x = draw(st.integers(max(0, k - (n - r)), min(r, k)))
+    return n, r, k, x
+
+
+def exact_binomial_tails(trials, p):
+    """P(X >= x) for x = 0..trials, as exact fractions."""
+    p = Fraction(p)
+    pmf = [comb(trials, x) * p**x * (1 - p) ** (trials - x) for x in range(trials + 1)]
+    tails = [Fraction(0)]
+    for mass in reversed(pmf):
+        tails.append(tails[-1] + mass)
+    return tails[:0:-1]
+
+
+def exact_sum_tail(wards, s_min):
+    """P(sum of independent per-ward counts >= s_min), by exact convolution."""
+    pmf = {0: Fraction(1)}
+    for n, r, k, _ in wards:
+        lo, hi = max(0, k - (n - r)), min(r, k)
+        step = {}
+        for total, mass in pmf.items():
+            for x in range(lo, hi + 1):
+                step[total + x] = step.get(total + x, 0) + mass * exact_hg_pmf(n, r, k, x)
+        pmf = step
+    return sum(mass for total, mass in pmf.items() if total >= s_min)
+
+
+def case_of(wards):
+    return CaseFile("property", "s", tuple(
+        WardRoster(f"W{i}", *counts) for i, counts in enumerate(wards)))
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(rosters(max_shifts=400))
+    def test_hypergeom_tail_nonincreasing_and_steps_by_pmf(self, roster):
+        n, r, k, _ = roster
+        xs = range(max(0, k - (n - r)) - 1, min(r, k) + 2)
+        tails = [hypergeom_tail(n, r, k, x) for x in xs]
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+        for x, upper, lower in zip(xs, tails, tails[1:]):
+            assert upper - lower == pytest.approx(hypergeom_pmf(n, r, k, x), abs=1e-15)
+
+    @PROPERTY
+    @given(st.integers(0, 60), st.floats(0.0, 1.0))
+    def test_binomial_tail_nonincreasing_and_exact(self, trials, p):
+        tails = [binomial_tail(trials, p, x) for x in range(-1, trials + 2)]
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+        exact = [1.0] + [float(t) for t in exact_binomial_tails(trials, p)] + [0.0]
+        assert tails == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+    @PROPERTY
+    @given(st.lists(rosters(max_shifts=40), min_size=2, max_size=3))
+    def test_convolved_sum_matches_exact(self, wards):
+        s_min = sum(w[3] for w in wards)
+        got = convolved_sum_test(case_of(wards), [f"W{i}" for i in range(len(wards))])
+        exact = float(exact_sum_tail(wards, s_min))
+        assert got.p_value == pytest.approx(exact, rel=1e-12, abs=0)
+        assert [c[1] for c in got.components] == [hypergeom_tail(*w) for w in wards]
+        total = convolve(*(hypergeom_dist(n, r, k) for n, r, k, _ in wards))
+        tails = [total.tail(s) for s in range(total.support_min - 1, total.support_max + 2)]
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+
+    @PROPERTY
+    @given(rosters(max_shifts=400))
+    def test_one_ward_convolved_sum_is_its_tail(self, roster):
+        case = case_of([roster])
+        assert convolved_sum_test(case, ["W0"]).p_value == ward_tail_p(case.wards[0]).p_value

@@ -62,6 +62,11 @@ class TestEstimateMu:
         assert mu.mu == 0.05
         assert mu.basis == "fixed"
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_fixed_value_must_be_positive_and_finite(self, case, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            estimate_mu(case, "fixed", fixed_value=value)
+
     def test_zero_incidents_rejected(self):
         from rosterstat.case import CaseFile, WardRoster
 

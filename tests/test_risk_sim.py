@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from rosterstat import risk_sim
 from rosterstat.case import builtin_paper_case
 from rosterstat.risk_sim import (
     SimulationConfig,
@@ -154,6 +155,37 @@ class TestSimulateMaxRr:
                                replicates=100, seed=5)
         with pytest.raises(ValueError):
             simulate_max_rr(cfg, -1.0)
+
+    @pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0])
+    def test_mu_must_be_positive_and_finite(self, mu):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SimulationConfig(nurse_count=5, shifts_per_nurse=10, mu=mu)
+
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (None, 1)])
+    def test_thread_count_capped_at_cores(self, monkeypatch, cpus, expected):
+        # a serial stand-in for the pool, so no real threads are started
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        cfg = SimulationConfig(nurse_count=5, shifts_per_nurse=10, mu=0.05,
+                               replicates=3000, seed=5)
+        serial = simulate_max_rr(cfg, 2.0, workers=1)
+        monkeypatch.setattr(risk_sim, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(risk_sim.os, "cpu_count", lambda: cpus)
+        assert simulate_max_rr(cfg, 2.0, workers=1000) == serial
+        assert seen == [expected]
 
 
 class TestExactOracle:
