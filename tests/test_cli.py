@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +176,19 @@ class TestReproducePaper:
         _, second, _ = run(capsys, "reproduce-paper", "--replicates", "2000",
                            "--seed", "3", "--output", "machine")
         assert first == second
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+class TestGoldenOutput:
+    """Every analyze method and reproduce-paper print exactly the pinned bytes."""
+
+    @pytest.mark.parametrize("record", GOLDEN, ids=[" ".join(r["argv"]) for r in GOLDEN])
+    def test_stdout_and_exit_code(self, capsys, record):
+        code, out, _ = run(capsys, *record["argv"])
+        assert (code, out) == (record["exit_code"], record["stdout"])
 
 
 class TestAnalyzeMatchesReproduce:
