@@ -6,12 +6,12 @@ combination) say about the same data.
 """
 
 from rosterstat import (
+    bonferroni_min,
     builtin_paper_case,
     convolved_sum_test,
     elffers_pipeline,
     fisher_combine,
     pooled_test,
-    posthoc_multiply,
     ward_tail_p,
 )
 
@@ -25,7 +25,7 @@ for ward in corrected.wards:
     print(f"{ward.name:8s} P(X >= {ward.suspect_incidents}) = {result.p_value:.6g}")
 
 jkz_tail = ward_tail_p(corrected.ward("JKZ"))
-bounded = posthoc_multiply(jkz_tail, 27)
+bounded = bonferroni_min([jkz_tail.p_value], 27)
 print(f"\nJKZ tail with the 27-nurse post-hoc multiplier: {bounded.p_value:.3e}")
 print("(the choice of 27, ward level rather than hospital or country, is arbitrary)")
 

@@ -6,11 +6,9 @@ items through prior odds to a posterior.
 """
 
 from rosterstat import (
-    EvidenceItem,
     OddsState,
     builtin_paper_case,
     estimate_mu,
-    fallacy_report,
     lr_poisson,
     observed_rate,
     odds_from_probability,
@@ -42,7 +40,3 @@ strict = OddsState(prior_odds=odds_from_probability(1e-5))
 for item in case.evidence:
     strict = update(strict, item)
 print(f"with the strict p/(1-p) prior conversion: {strict.posterior_odds:.7f}")
-
-print("\n=== the prosecutor's fallacy ===")
-text, posterior = fallacy_report(p_e_given_h0=1 / 342_000_000, prior_h0=None)
-print(text)

@@ -15,14 +15,12 @@ counter-based and reproduces bit-identical results for any worker count.
 from rosterstat.bayes import (
     EvidenceItem,
     OddsState,
-    fallacy_report,
     odds_from_probability,
     posterior_probability,
     update,
 )
 from rosterstat.case import (
     CaseFile,
-    NormalRateData,
     WardRoster,
     builtin_paper_case,
     parse_case,
@@ -46,7 +44,6 @@ from rosterstat.frequentist import (
     elffers_pipeline,
     fisher_combine,
     pooled_test,
-    posthoc_multiply,
     ward_tail_p,
 )
 from rosterstat.poisson_model import (
@@ -64,7 +61,6 @@ from rosterstat.risk_sim import (
     SimulationConfig,
     SimulationReport,
     derive_sim_config,
-    equal_shift_rr,
     exact_max_rr_tail,
     observed_threshold,
     relative_risk,
@@ -79,7 +75,6 @@ __all__ = [
     "EvidenceItem",
     "IntensityEstimate",
     "LikelihoodRatio",
-    "NormalRateData",
     "OddsState",
     "RelativeRisk",
     "SimulationConfig",
@@ -96,10 +91,8 @@ __all__ = [
     "convolved_sum_test",
     "derive_sim_config",
     "elffers_pipeline",
-    "equal_shift_rr",
     "estimate_mu",
     "exact_max_rr_tail",
-    "fallacy_report",
     "fisher_combine",
     "hypergeom_dist",
     "hypergeom_pmf",
@@ -113,7 +106,6 @@ __all__ = [
     "pool_wards",
     "pooled_test",
     "posterior_probability",
-    "posthoc_multiply",
     "relative_risk",
     "serialize_case",
     "simulate_max_rr",

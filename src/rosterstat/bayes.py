@@ -26,7 +26,11 @@ class EvidenceItem:
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        if not (self.lr > 0 and math.isfinite(self.lr)):
+        try:
+            finite = math.isfinite(self.lr)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not (finite and self.lr > 0):
             raise ValueError(f"likelihood ratio must be positive and finite, got {self.lr!r}")
 
 
@@ -67,35 +71,3 @@ def update(state: OddsState, evidence: EvidenceItem) -> OddsState:
 def posterior_probability(state: OddsState) -> float:
     """Posterior probability odds / (1 + odds)."""
     return state.posterior_odds / (1.0 + state.posterior_odds)
-
-
-def fallacy_report(
-    p_e_given_h0: float,
-    prior_h0: float | None = None,
-    p_e: float | None = None,
-) -> tuple[str, float | None]:
-    """Make the gap between P(E|H0) and P(H0|E) explicit.
-
-    Without a prior for H0 and a marginal for E, the posterior simply is
-    not computable and the returned text says so. With both, it returns
-    P(H0|E) = P(E|H0) * P(H0) / P(E).
-    """
-    if not (0.0 <= p_e_given_h0 <= 1.0):
-        raise ValueError(f"P(E|H0) must be a probability, got {p_e_given_h0!r}")
-    if prior_h0 is None or p_e is None:
-        return (
-            "P(H0|E) is NOT computable from P(E|H0) alone: equating the two "
-            "is the prosecutor's fallacy. A prior P(H0) and the marginal "
-            "P(E) are required.",
-            None,
-        )
-    if not (0.0 <= prior_h0 <= 1.0):
-        raise ValueError(f"P(H0) must be a probability, got {prior_h0!r}")
-    if p_e == 0.0:
-        raise ValueError("P(E) must be positive")
-    posterior = p_e_given_h0 * prior_h0 / p_e
-    return (
-        "P(H0|E) = P(E|H0) * P(H0) / P(E) = "
-        f"{p_e_given_h0!r} * {prior_h0!r} / {p_e!r} = {posterior!r}",
-        posterior,
-    )

@@ -69,23 +69,6 @@ class WardRoster:
 
 
 @dataclass(frozen=True)
-class NormalRateData:
-    """Extra shift/incident counts from adjacent normal-operation periods."""
-
-    extra_shifts: int
-    extra_incidents: int
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.extra_shifts < 0 or self.extra_incidents < 0:
-            raise CaseValidationError("extra counts must be non-negative")
-        if self.extra_incidents > self.extra_shifts * 10:
-            raise CaseValidationError(
-                "extra_incidents implausibly large relative to extra_shifts"
-            )
-
-
-@dataclass(frozen=True)
 class CaseFile:
     """A named collection of ward rosters for one suspect."""
 

@@ -66,21 +66,6 @@ def ward_tail_p(w: WardRoster) -> TestResult:
     )
 
 
-def posthoc_multiply(t: TestResult, multiplier: float) -> TestResult:
-    """Multiply a per-ward tail by the number of candidate nurses, capped at 1."""
-    if t.method != "per_ward_tail":
-        raise ValueError(f"post-hoc correction applies to per_ward_tail results, got {t.method!r}")
-    if multiplier < 1:
-        raise ValueError(f"multiplier must be >= 1, got {multiplier!r}")
-    name = t.components[0][0] if t.components else ""
-    return replace(
-        t,
-        p_value=min(1.0, multiplier * t.p_value),
-        components=((name, t.p_value, float(multiplier)),),
-        notes=t.notes + f"; post-hoc multiplier {multiplier:g} applied",
-    )
-
-
 def elffers_pipeline(case: CaseFile, jkz_multiplier: int) -> TestResult:
     """The original prosecution computation: multiplied per-ward tails.
 

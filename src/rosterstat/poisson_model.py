@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from rosterstat.case import CaseFile, NormalRateData, pool_wards
+from rosterstat.case import CaseFile, pool_wards
 from rosterstat.distributions import binomial_tail
 from rosterstat.frequentist import TestResult
 
-MU_BASES = ("exclude_suspect", "include_suspect", "fixed", "augmented")
+MU_BASES = ("exclude_suspect", "include_suspect", "fixed")
 
 FAVORS_PROSECUTION = "favors_prosecution"
 FAVORS_DEFENCE = "favors_defence"
@@ -66,23 +66,22 @@ class IntensityEstimate:
 
 @dataclass(frozen=True)
 class SuspectIntensity:
-    """The suspect's own intensity mu_L and the rule that produced it."""
+    """The suspect's own intensity mu_L = numerator / denominator.
+
+    rule names how it was fitted; observed_rate is the only rule.
+    """
 
     mu_L: float
-    rule: str = "observed_rate"
-    numerator: int = 0
-    denominator: int = 0
+    rule: str
+    numerator: int
+    denominator: int
 
     def __post_init__(self) -> None:
-        if self.rule not in ("observed_rate", "fixed"):
-            raise ValueError(f"rule must be 'observed_rate' or 'fixed', got {self.rule!r}")
-        if not self.mu_L > 0:
-            raise ValueError(f"suspect intensity must be positive, got {self.mu_L!r}")
+        if self.numerator <= 0 or self.denominator <= 0:
+            raise ValueError("the suspect's intensity needs positive counts")
 
     @property
     def exact(self) -> Fraction:
-        if self.rule == "fixed" or self.denominator == 0:
-            return Fraction(self.mu_L)
         return Fraction(self.numerator, self.denominator)
 
 
@@ -104,15 +103,13 @@ def estimate_mu(
     case: CaseFile,
     basis: str,
     names: Sequence[str] | None = None,
-    extra: NormalRateData | None = None,
     fixed_value: float | None = None,
 ) -> IntensityEstimate:
     """Estimate the background intensity over the named wards (pooled).
 
     Bases: 'exclude_suspect' uses the other nurses' incidents and shifts
     (the prosecution's convention); 'include_suspect' uses all of them (the
-    defence's); 'augmented' extends exclude_suspect with counts from
-    adjacent normal-operation periods; 'fixed' takes fixed_value verbatim.
+    defence's); 'fixed' takes fixed_value verbatim.
     When names is None the two RKZ wards are pooled if present, matching
     the published analysis.
     """
@@ -129,11 +126,6 @@ def estimate_mu(
     else:
         numerator = pool.total_incidents - pool.suspect_incidents
         denominator = pool.total_shifts - pool.suspect_shifts
-        if basis == "augmented":
-            if extra is None:
-                raise ValueError("basis 'augmented' requires NormalRateData")
-            numerator += extra.extra_incidents
-            denominator += extra.extra_shifts
     if denominator == 0:
         raise ValueError("zero shifts in the intensity denominator")
     if numerator == 0:
@@ -216,28 +208,17 @@ def lr_poisson(
 def conditional_binomial_test(
     case: CaseFile,
     names: Sequence[str] | None = None,
-    mu_ratio_equal: bool = True,
-    mu: IntensityEstimate | None = None,
-    mu_L: SuspectIntensity | None = None,
 ) -> TestResult:
     """Exact test of the suspect's count given the grand total of incidents.
 
     Conditional on the total N incidents, the suspect's count is
     Binomial(N, p) with p = mu_L*r_L / (mu_L*r_L + mu*r). Under the null
-    mu_L = mu (mu_ratio_equal=True) the intensities cancel and p reduces to
-    r_L / (r_L + r), needing no intensity estimate at all.
+    mu_L = mu the intensities cancel and p reduces to r_L / (r_L + r),
+    needing no intensity estimate at all.
     """
     pool = pool_wards(case, names if names is not None else case.default_ward_names())
-    r_L = pool.suspect_shifts
-    r_others = pool.total_shifts - pool.suspect_shifts
     total = pool.total_incidents
-    if mu_ratio_equal:
-        p = Fraction(r_L, r_L + r_others)
-    else:
-        if mu is None or mu_L is None:
-            raise ValueError("mu and mu_L are required when mu_ratio_equal is False")
-        num = mu_L.exact * r_L
-        p = num / (num + mu.exact * r_others)
+    p = Fraction(pool.suspect_shifts, pool.total_shifts)
     tail = binomial_tail(total, float(p), pool.suspect_incidents)
     return TestResult(
         method="conditional_binomial",

@@ -49,30 +49,19 @@ class AnalysisReport:
         }
 
 
-def _plain(value: Any) -> Any:
-    if is_dataclass(value) and not isinstance(value, type):
-        return {k: _plain(v) for k, v in asdict(value).items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    return value
-
-
 def result_entry(label: str, result: Any, **extra: Any) -> dict:
-    """Normalize any result object into a serializable dict."""
+    """Flatten a result dataclass and its extra fields into a serializable dict.
+
+    A TestResult's fields go at the top level; any other result sits under
+    its class name. Extra fields that are dataclasses become dicts.
+    """
     entry: dict[str, Any] = {"label": label}
     if isinstance(result, frequentist.TestResult):
-        entry.update(_plain(result))
+        entry.update(asdict(result))
         entry["is_p_value"] = result.is_p_value
-    elif isinstance(result, (poisson_model.LikelihoodRatio, bayes.OddsState,
-                             risk_sim.SimulationReport, risk_sim.RelativeRisk)):
-        entry[type(result).__name__] = _plain(result)
-    elif isinstance(result, dict):
-        entry.update(result)
     else:
-        entry["value"] = _plain(result)
-    entry.update({k: _plain(v) for k, v in extra.items()})
+        entry[type(result).__name__] = asdict(result)
+    entry.update({k: asdict(v) if is_dataclass(v) else v for k, v in extra.items()})
     return entry
 
 
@@ -219,7 +208,7 @@ def _fmt(value: Any) -> str:
         return repr(value)
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}: {_fmt(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from rosterstat.case import CaseFile, NormalRateData, pool_wards
+from rosterstat.case import CaseFile, pool_wards
 from rosterstat.distributions import poisson_pmf
 from rosterstat.poisson_model import estimate_mu
 
@@ -59,24 +59,6 @@ def relative_risk(k_j: int, r_j: int, k_others: int, r_others: int) -> RelativeR
     else:
         value = suspect_rate / others_rate
     return RelativeRisk(value=value, suspect_rate=suspect_rate, others_rate=others_rate)
-
-
-def equal_shift_rr(k_j: int, all_counts: Sequence[int], I: int) -> float:
-    """Relative risk when all I nurses have equal shifts.
-
-    Reduces to k_j / (sum(counts) - k_j) * (I - 1); the shift counts
-    cancel. Same zero conventions as relative_risk.
-    """
-    if I < 2:
-        raise ValueError(f"need at least 2 nurses, got I={I}")
-    if len(all_counts) != I:
-        raise ValueError(f"I={I} does not match {len(all_counts)} counts")
-    if k_j not in all_counts:
-        raise ValueError(f"k_j={k_j} is not one of the counts {list(all_counts)}")
-    others = sum(all_counts) - k_j
-    if others == 0:
-        return 1.0 if k_j == 0 else math.inf
-    return k_j / others * (I - 1)
 
 
 @dataclass(frozen=True)
@@ -245,7 +227,6 @@ def derive_sim_config(
     mu_basis: str,
     replicates: int = 100_000,
     seed: int = 0,
-    extra: NormalRateData | None = None,
     fixed_value: float | None = None,
 ) -> SimulationConfig:
     """Build the equal-shift null configuration for the named wards.
@@ -265,8 +246,7 @@ def derive_sim_config(
             "non-integral shifts ratio for %s: n/r = %d/%d = %.4f, using I = %d",
             pool.name, pool.total_shifts, r, ratio, nurse_count,
         )
-    mu = estimate_mu(case, mu_basis, names=ward_names, extra=extra,
-                     fixed_value=fixed_value)
+    mu = estimate_mu(case, mu_basis, names=ward_names, fixed_value=fixed_value)
     return SimulationConfig(
         nurse_count=nurse_count,
         shifts_per_nurse=r,

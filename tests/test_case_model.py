@@ -1,8 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rosterstat.bayes import EvidenceItem
 from rosterstat.case import (
+    VARIANTS,
     CaseFile,
     CaseValidationError,
     WardRoster,
@@ -127,7 +131,42 @@ class TestParseCase:
             parse_case(json.dumps(doc))
 
 
+@st.composite
+def ward_rosters(draw, name):
+    n = draw(st.integers(1, 5000))
+    r = draw(st.integers(0, n))
+    k = draw(st.integers(0, n))
+    x = draw(st.integers(max(0, k - (n - r)), min(r, k)))
+    nurse_count = draw(st.none() | st.integers(1, 500))
+    return WardRoster(name, n, r, k, x, nurse_count=nurse_count)
+
+
+evidence_items = st.builds(
+    EvidenceItem,
+    label=st.text(max_size=20),
+    lr=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    provenance=st.text(max_size=20),
+)
+
+
+@st.composite
+def case_files(draw):
+    names = draw(st.lists(st.text(max_size=10), min_size=1, max_size=4, unique=True))
+    return CaseFile(
+        case_name=draw(st.text(max_size=20)),
+        suspect=draw(st.text(max_size=20)),
+        wards=tuple(draw(ward_rosters(name)) for name in names),
+        variant=draw(st.sampled_from(VARIANTS)),
+        evidence=tuple(draw(st.lists(evidence_items, max_size=4))),
+    )
+
+
 class TestRoundTrip:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(case_files())
+    def test_generated_cases_round_trip(self, case):
+        assert parse_case(serialize_case(case)) == case
+
     def test_parse_serialize_identity(self):
         case = parse_case(json.dumps(VALID_DOC))
         assert parse_case(serialize_case(case)) == case

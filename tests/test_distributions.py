@@ -30,7 +30,7 @@ from rosterstat.distributions import (
     hypergeom_tail,
     poisson_pmf,
 )
-from rosterstat.frequentist import convolved_sum_test, ward_tail_p
+from rosterstat.frequentist import convolved_sum_test, pooled_test, ward_tail_p
 
 
 def exact_hg_pmf(n, r, k, x):
@@ -45,7 +45,7 @@ def exact_hg_tail(n, r, k, x_min):
 class TestHypergeomPmf:
     def test_enumeration_small(self):
         # all C(5,2)=10 incident placements equally likely, one has both
-        assert hypergeom_pmf(5, 2, 2, 2) == pytest.approx(0.1, rel=1e-13)
+        assert hypergeom_pmf(5, 2, 2, 2) == pytest.approx(0.1, rel=1e-13, abs=0)
 
     def test_all_shifts_suspect(self):
         assert hypergeom_pmf(5, 5, 3, 3) == 1.0
@@ -53,7 +53,7 @@ class TestHypergeomPmf:
     def test_jkz_point_probability(self):
         exact = exact_hg_pmf(1029, 142, 8, 8)
         got = hypergeom_pmf(1029, 142, 8, 8)
-        assert got == pytest.approx(float(exact), rel=1e-12)
+        assert got == pytest.approx(float(exact), rel=1e-12, abs=0)
         assert 27 * got < 1.0 / 300_000
 
     def test_out_of_support_returns_zero(self):
@@ -91,13 +91,13 @@ class TestHypergeomPmf:
 class TestHypergeomTail:
     def test_pooled_rkz_exact(self):
         exact = float(exact_hg_tail(675, 61, 19, 6))
-        assert hypergeom_tail(675, 61, 19, 6) == pytest.approx(exact, rel=1e-12)
+        assert hypergeom_tail(675, 61, 19, 6) == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_whole_support_is_one(self):
         assert hypergeom_tail(50, 20, 10, 0) == 1.0
 
     def test_enumeration_oracle(self):
-        assert hypergeom_tail(10, 3, 2, 1) == pytest.approx(8 / 15, rel=1e-13)
+        assert hypergeom_tail(10, 3, 2, 1) == pytest.approx(8 / 15, rel=1e-13, abs=0)
 
     def test_nonincreasing_in_x_min(self):
         values = [hypergeom_tail(40, 15, 12, x) for x in range(0, 13)]
@@ -107,7 +107,7 @@ class TestHypergeomTail:
         n, r, k = 40, 15, 12
         top = min(r, k)
         assert hypergeom_tail(n, r, k, top) == pytest.approx(
-            hypergeom_pmf(n, r, k, top), rel=1e-12
+            hypergeom_pmf(n, r, k, top), rel=1e-12, abs=0
         )
 
     def test_beyond_support_is_zero(self):
@@ -137,7 +137,7 @@ class TestHypergeomTail:
 
 class TestBinomialTail:
     def test_two_coin_flips(self):
-        assert binomial_tail(2, 0.5, 1) == pytest.approx(0.75, rel=1e-13)
+        assert binomial_tail(2, 0.5, 1) == pytest.approx(0.75, rel=1e-13, abs=0)
 
     def test_whole_support(self):
         assert binomial_tail(7, 0.3, 0) == 1.0
@@ -148,7 +148,7 @@ class TestBinomialTail:
             Fraction(comb(19, x)) * p**x * (1 - p) ** (19 - x) for x in range(6, 20)
         )
         got = binomial_tail(19, 61 / 675, 6)
-        assert got == pytest.approx(float(exact), rel=1e-10)
+        assert got == pytest.approx(float(exact), rel=1e-10, abs=0)
         # the conditional binomial and the pooled hypergeometric answer the
         # same question and must agree within a factor of 1.5
         pooled = hypergeom_tail(675, 61, 19, 6)
@@ -172,7 +172,7 @@ class TestBinomialTail:
 class TestPoissonPmf:
     def test_zero_count(self):
         for m in (0.3, 1.7, 9.0):
-            assert poisson_pmf(m, 0) == pytest.approx(math.exp(-m), rel=1e-13)
+            assert poisson_pmf(m, 0) == pytest.approx(math.exp(-m), rel=1e-13, abs=0)
 
     def test_degenerate_at_zero(self):
         assert poisson_pmf(0.0, 0) == 1.0
@@ -181,7 +181,7 @@ class TestPoissonPmf:
     def test_high_precision_oracle(self):
         m = 1.2915
         exact = mpmath.exp(-m) * mpmath.mpf(m) ** 2 / 2
-        assert poisson_pmf(m, 2) == pytest.approx(float(exact), rel=1e-12)
+        assert poisson_pmf(m, 2) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
@@ -193,7 +193,7 @@ class TestChi2SurvivalEven:
         assert chi2_survival_even(0.0, 2) == 1.0
 
     def test_dof_two_closed_form(self):
-        assert chi2_survival_even(2.0, 2) == pytest.approx(math.exp(-1), rel=1e-13)
+        assert chi2_survival_even(2.0, 2) == pytest.approx(math.exp(-1), rel=1e-13, abs=0)
 
     def test_quadrature_oracle_dof6(self):
         x = -2.0 * math.log(0.1 * 0.2 * 0.3)
@@ -228,7 +228,7 @@ class TestConvolveTail:
             for b in range(0, 15)
             if a + b >= 6
         )
-        assert got == pytest.approx(float(exact), rel=1e-11)
+        assert got == pytest.approx(float(exact), rel=1e-11, abs=0)
         assert round(got, 3) == 0.022
 
     def test_minimum_sum_gives_one(self):
@@ -244,7 +244,7 @@ class TestConvolveTail:
             for b in range(3)
             if a + b >= 3
         )
-        assert convolve(d, d).tail(3) == pytest.approx(float(exact), rel=1e-12)
+        assert convolve(d, d).tail(3) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
     def test_matches_joint_enumeration(self):
         rng = np.random.default_rng(7)
@@ -363,3 +363,17 @@ class TestKernelProperties:
     def test_one_ward_convolved_sum_is_its_tail(self, roster):
         case = case_of([roster])
         assert convolved_sum_test(case, ["W0"]).p_value == ward_tail_p(case.wards[0]).p_value
+
+    @PROPERTY
+    @given(st.lists(rosters(max_shifts=400), min_size=1, max_size=3))
+    def test_pmf_vectors_sum_to_one(self, wards):
+        dists = [hypergeom_dist(n, r, k) for n, r, k, _ in wards]
+        for d in [*dists, convolve(*dists)]:
+            assert abs(math.fsum(d.probabilities.tolist()) - 1.0) <= 1e-15
+
+    @PROPERTY
+    @given(st.lists(rosters(max_shifts=400), min_size=1, max_size=3))
+    def test_pooled_tail_is_the_tail_of_summed_counts(self, wards):
+        names = [f"W{i}" for i in range(len(wards))]
+        n, r, k, x = (sum(column) for column in zip(*wards))
+        assert pooled_test(case_of(wards), names).p_value == hypergeom_tail(n, r, k, x)

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from rosterstat.case import NormalRateData, builtin_paper_case
+from rosterstat.case import builtin_paper_case
 from rosterstat.poisson_model import (
     FAVORS_DEFENCE,
     FAVORS_PROSECUTION,
@@ -43,20 +43,6 @@ class TestEstimateMu:
         assert estimate_mu(case, "exclude_suspect", ["RKZ-42"]).exact == Fraction(9, 281)
         assert estimate_mu(case, "include_suspect", ["RKZ-42"]).exact == Fraction(14, 339)
 
-    def test_augmented_with_zero_extra_matches_base(self, case):
-        base = estimate_mu(case, "exclude_suspect", RKZ)
-        augmented = estimate_mu(case, "augmented", RKZ, extra=NormalRateData(0, 0))
-        assert augmented.exact == base.exact
-
-    def test_augmented_moves_toward_extra_rate(self, case):
-        augmented = estimate_mu(
-            case, "augmented", RKZ, extra=NormalRateData(1000, 90))
-        assert augmented.exact == Fraction(13 + 90, 614 + 1000)
-
-    def test_augmented_requires_extra(self, case):
-        with pytest.raises(ValueError, match="augmented"):
-            estimate_mu(case, "augmented", RKZ)
-
     def test_fixed_value(self, case):
         mu = estimate_mu(case, "fixed", fixed_value=0.05)
         assert mu.mu == 0.05
@@ -91,15 +77,13 @@ class TestLrPoisson:
 
     def test_identical_hypotheses_give_one(self):
         mu = IntensityEstimate(mu=0.03, basis="fixed")
-        mu_l = SuspectIntensity(mu_L=0.03, rule="fixed")
-        lr = lr_poisson(mu, mu_l, 40, 3)
+        lr = lr_poisson(mu, 0.03, 40, 3)
         assert lr.value == 1.0
         assert lr.direction == "neutral"
 
     def test_strictly_increasing_in_k(self):
         mu = IntensityEstimate(mu=0.02, basis="fixed")
-        mu_l = SuspectIntensity(mu_L=0.08, rule="fixed")
-        values = [lr_poisson(mu, mu_l, 50, k).value for k in range(0, 8)]
+        values = [lr_poisson(mu, 0.08, 50, k).value for k in range(0, 8)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_decreasing_in_mu_under_observed_rate(self):
@@ -117,8 +101,7 @@ class TestLrPoisson:
         # an elevated suspect intensity with zero observed incidents makes
         # the evidence favor the defence
         mu = IntensityEstimate(mu=0.02, basis="fixed")
-        mu_l = SuspectIntensity(mu_L=0.1, rule="fixed")
-        lr = lr_poisson(mu, mu_l, 30, 0)
+        lr = lr_poisson(mu, 0.1, 30, 0)
         assert lr.value < 1.0
         assert lr.direction == FAVORS_DEFENCE
         assert "under H_d" in lr.verbal
@@ -182,19 +165,6 @@ class TestConditionalBinomial:
         case = CaseFile("t", "s", (WardRoster("A", 20, 20, 3, 3),))
         assert conditional_binomial_test(case, ["A"]).p_value == 1.0
 
-    def test_unequal_intensities(self, case):
-        mu = estimate_mu(case, "exclude_suspect", RKZ)
-        mu_l = observed_rate(6, 61)
-        result = conditional_binomial_test(
-            case, RKZ, mu_ratio_equal=False, mu=mu, mu_L=mu_l)
-        # p = (6/61*61) / (6/61*61 + 13/614*614) = 6/19
-        p = Fraction(6, 19)
-        exact = sum(
-            Fraction(comb(19, x)) * p**x * (1 - p) ** (19 - x) for x in range(6, 20)
-        )
-        assert result.p_value == pytest.approx(float(exact), rel=1e-10)
-
-
 class TestIntensityTypes:
     def test_estimate_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -205,6 +175,12 @@ class TestIntensityTypes:
         s = observed_rate(6, 61)
         assert s.mu_L * 61 == pytest.approx(6.0, rel=1e-12)
         assert s.exact * 61 == 6
+
+    @pytest.mark.parametrize("numerator, denominator", [(0, 61), (6, 0), (-1, 61)])
+    def test_suspect_intensity_needs_positive_counts(self, numerator, denominator):
+        with pytest.raises(ValueError, match="positive counts"):
+            SuspectIntensity(mu_L=0.1, rule="observed_rate",
+                             numerator=numerator, denominator=denominator)
 
     def test_observed_rate_rejects_zero_incidents(self):
         with pytest.raises(ValueError):

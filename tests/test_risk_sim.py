@@ -7,7 +7,6 @@ from rosterstat.case import builtin_paper_case
 from rosterstat.risk_sim import (
     SimulationConfig,
     derive_sim_config,
-    equal_shift_rr,
     exact_max_rr_tail,
     observed_threshold,
     relative_risk,
@@ -39,39 +38,6 @@ class TestRelativeRisk:
             relative_risk(1, 0, 1, 10)
         with pytest.raises(ValueError):
             relative_risk(1, 10, 1, 0)
-
-
-class TestEqualShiftRr:
-    def test_closed_form(self):
-        assert equal_shift_rr(2, [2, 1, 1], 3) == pytest.approx(2.0)
-
-    def test_all_equal_counts(self):
-        assert equal_shift_rr(3, [3, 3, 3, 3], 4) == pytest.approx(1.0)
-
-    def test_infinite_when_alone(self):
-        assert equal_shift_rr(3, [3, 0, 0], 3) == math.inf
-
-    def test_all_zero(self):
-        assert equal_shift_rr(0, [0, 0], 2) == 1.0
-
-    def test_too_few_nurses_rejected(self):
-        with pytest.raises(ValueError):
-            equal_shift_rr(1, [1], 1)
-
-    def test_membership_enforced(self):
-        with pytest.raises(ValueError):
-            equal_shift_rr(9, [1, 2, 3], 3)
-
-    def test_agrees_with_relative_risk_for_equal_shifts(self):
-        counts = [4, 1, 0, 2, 2]
-        shifts = 17
-        for j, k_j in enumerate(counts):
-            others = sum(counts) - k_j
-            if others == 0:
-                continue
-            direct = relative_risk(k_j, shifts, others, shifts * (len(counts) - 1))
-            assert equal_shift_rr(k_j, counts, len(counts)) == pytest.approx(
-                direct.value, rel=1e-12)
 
 
 class TestDeriveSimConfig:
