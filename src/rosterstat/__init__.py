@@ -10,6 +10,9 @@ package computes the evidence against a single nurse under four paradigms:
 
 All kernels are exact log-space computations; the Monte Carlo engine is
 counter-based and reproduces bit-identical results for any worker count.
+The engine, ``rosterstat.risk_sim``, is the one module that needs numpy at
+import, so its names are loaded on first use: importing the package, or
+running an exact method, leaves numpy unloaded.
 """
 
 from rosterstat.bayes import (
@@ -56,16 +59,29 @@ from rosterstat.poisson_model import (
     observed_rate,
     verbal_scale,
 )
-from rosterstat.risk_sim import (
-    RelativeRisk,
-    SimulationConfig,
-    SimulationReport,
-    derive_sim_config,
-    exact_max_rr_tail,
-    observed_threshold,
-    relative_risk,
-    simulate_max_rr,
-)
+
+_RISK_SIM_NAMES = frozenset({
+    "RelativeRisk",
+    "SimulationConfig",
+    "SimulationReport",
+    "derive_sim_config",
+    "exact_max_rr_tail",
+    "observed_threshold",
+    "relative_risk",
+    "simulate_max_rr",
+})
+
+
+def __getattr__(name: str):
+    # Not cached in the package namespace: each access reads the current
+    # risk_sim binding, so a name rebound there (a tracer's wrapper, a test's
+    # mock) is seen here too, and so is its restoration.
+    if name in _RISK_SIM_NAMES:
+        from rosterstat import risk_sim
+
+        return getattr(risk_sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

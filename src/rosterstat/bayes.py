@@ -17,6 +17,15 @@ INDEPENDENCE_NOTE = (
 )
 
 
+def _require_positive_finite(value: float, name: str) -> None:
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not (finite and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EvidenceItem:
     """One piece of evidence with its asserted likelihood ratio."""
@@ -26,12 +35,7 @@ class EvidenceItem:
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        try:
-            finite = math.isfinite(self.lr)
-        except OverflowError:  # an integer too large for a float
-            finite = False
-        if not (finite and self.lr > 0):
-            raise ValueError(f"likelihood ratio must be positive and finite, got {self.lr!r}")
+        _require_positive_finite(self.lr, "likelihood ratio")
 
 
 @dataclass(frozen=True)
@@ -43,13 +47,23 @@ class OddsState:
     posterior_odds: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if not (self.prior_odds > 0 and math.isfinite(self.prior_odds)):
-            raise ValueError(f"prior odds must be positive and finite, got {self.prior_odds!r}")
+        _require_positive_finite(self.prior_odds, "prior odds")
         if self.posterior_odds is None:
             post = self.prior_odds
             for item in self.applied:
-                post *= item.lr
+                post = _times_lr(post, item)
             object.__setattr__(self, "posterior_odds", post)
+
+
+def _times_lr(odds: float, item: EvidenceItem) -> float:
+    """odds x item.lr; a product past the float range raises ValueError."""
+    product = odds * item.lr
+    if math.isinf(product):
+        raise ValueError(
+            f"posterior odds overflow the float range after evidence {item.label!r} "
+            f"(odds {odds!r} x likelihood ratio {item.lr!r})"
+        )
+    return product
 
 
 def odds_from_probability(p: float) -> float:
@@ -64,7 +78,7 @@ def update(state: OddsState, evidence: EvidenceItem) -> OddsState:
     return OddsState(
         prior_odds=state.prior_odds,
         applied=state.applied + (evidence,),
-        posterior_odds=state.posterior_odds * evidence.lr,
+        posterior_odds=_times_lr(state.posterior_odds, evidence),
     )
 
 

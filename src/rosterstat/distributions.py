@@ -5,8 +5,10 @@ the logs of its successive term ratios p(x+1)/p(x), cumulated out from the
 mode (the term-ratio recurrence discussed by Loader, "Fast and accurate
 computation of binomial probabilities", 2000). No binomial coefficient is
 ever formed, so counts like C(1029, 142) never overflow. A tail is the
-exactly rounded ``math.fsum`` of a slice of that vector, and the sum of
-independent counts is one ``np.convolve`` chain over their vectors.
+exactly rounded ``math.fsum`` of a slice of that vector. The vectors are
+plain ``array('d')`` buffers built with ``math`` and ``itertools``, so the
+exact methods never load numpy; only ``convolve``, the sum of independent
+counts, imports it, for one ``np.convolve`` chain over their vectors.
 Probabilities that land within 1e-12 of [0, 1] are clamped to the
 boundary; anything further out raises, because a larger excursion means a
 bug rather than rounding.
@@ -16,9 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import accumulate
 
 _CLAMP_TOL = 1e-12
 
@@ -44,16 +46,16 @@ class DiscreteDist:
     """A pmf over a contiguous integer support starting at ``support_min``."""
 
     support_min: int
-    probabilities: np.ndarray = field(repr=False)
+    probabilities: array = field(repr=False)  # array('d')
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probabilities, dtype=float)
+        probs = array("d", self.probabilities)
         object.__setattr__(self, "probabilities", probs)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probabilities must be a nonempty 1-d vector")
-        if np.any(probs < 0):
+        if not probs:
+            raise ValueError("probabilities must be a nonempty vector")
+        if min(probs) < 0:
             raise ValueError("probabilities must be non-negative")
-        total = math.fsum(probs.tolist())
+        total = math.fsum(probs)
         if abs(total - 1.0) > _CLAMP_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-12")
 
@@ -66,10 +68,10 @@ class DiscreteDist:
         if x_min <= self.support_min:
             return 1.0
         upper = self.probabilities[x_min - self.support_min:]
-        return _clamp_probability(math.fsum(upper.tolist()))
+        return _clamp_probability(math.fsum(upper))
 
 
-def _from_log_ratios(support_min: int, log_ratios: np.ndarray) -> DiscreteDist:
+def _from_log_ratios(support_min: int, log_ratios: list[float]) -> DiscreteDist:
     """The pmf whose successive ratios p(x+1)/p(x) have these logs.
 
     The pmf must be log-concave (the ratios decrease), so its mode sits
@@ -78,12 +80,12 @@ def _from_log_ratios(support_min: int, log_ratios: np.ndarray) -> DiscreteDist:
     it and the mode, and every point is scaled by the mode's value before
     normalising, so nothing overflows.
     """
-    mode = int(np.count_nonzero(log_ratios > 0))
-    log_p = np.zeros(len(log_ratios) + 1)
-    log_p[mode + 1:] = np.cumsum(log_ratios[mode:])
-    log_p[:mode] = -np.cumsum(log_ratios[:mode][::-1])[::-1]
-    probs = np.exp(log_p)
-    return DiscreteDist(support_min, probs / math.fsum(probs.tolist()))
+    mode = sum(1 for v in log_ratios if v > 0)
+    below = [-v for v in accumulate(reversed(log_ratios[:mode]))]
+    below.reverse()
+    probs = [math.exp(v) for v in (*below, 0.0, *accumulate(log_ratios[mode:]))]
+    total = math.fsum(probs)
+    return DiscreteDist(support_min, [p / total for p in probs])
 
 
 def hypergeom_dist(n: int, r: int, k: int) -> DiscreteDist:
@@ -98,8 +100,10 @@ def hypergeom_dist(n: int, r: int, k: int) -> DiscreteDist:
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     lo = max(0, k - (n - r))
-    x = np.arange(lo, min(r, k), dtype=float)
-    return _from_log_ratios(lo, np.log((r - x) * (k - x) / ((x + 1) * (n - r - k + x + 1))))
+    return _from_log_ratios(lo, [
+        math.log((r - x) * (k - x) / ((x + 1) * (n - r - k + x + 1)))
+        for x in map(float, range(lo, min(r, k)))
+    ])
 
 
 def hypergeom_pmf(n: int, r: int, k: int, x: int) -> float:
@@ -107,7 +111,7 @@ def hypergeom_pmf(n: int, r: int, k: int, x: int) -> float:
     dist = hypergeom_dist(n, r, k)
     if not dist.support_min <= x <= dist.support_max:
         return 0.0
-    return float(dist.probabilities[x - dist.support_min])
+    return dist.probabilities[x - dist.support_min]
 
 
 def hypergeom_tail(n: int, r: int, k: int, x_min: int) -> float:
@@ -125,17 +129,20 @@ def binomial_tail(trials: int, success_prob: float, x_min: int) -> float:
         return 1.0 if x_min <= 0 else 0.0
     if success_prob == 1.0:
         return 1.0 if x_min <= trials else 0.0
-    x = np.arange(trials, dtype=float)
     log_odds = math.log(success_prob) - math.log1p(-success_prob)
-    return _from_log_ratios(0, np.log((trials - x) / (x + 1)) + log_odds).tail(x_min)
+    return _from_log_ratios(0, [
+        math.log((trials - x) / (x + 1)) + log_odds for x in map(float, range(trials))
+    ]).tail(x_min)
 
 
 def convolve(*dists: DiscreteDist) -> DiscreteDist:
     """The distribution of the sum of independent variables with these pmfs."""
     if not dists:
         raise ValueError("convolve needs at least one distribution")
+    import numpy as np  # loaded here only, so the exact tests run without it
+
     probs = functools.reduce(np.convolve, [d.probabilities for d in dists])
-    return DiscreteDist(sum(d.support_min for d in dists), probs)
+    return DiscreteDist(sum(d.support_min for d in dists), probs.tolist())
 
 
 def poisson_pmf(mean: float, k: int) -> float:

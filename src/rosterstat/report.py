@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, is_dataclass
 from typing import Any
 
-from rosterstat import bayes, frequentist, poisson_model, risk_sim
+from rosterstat import bayes, frequentist, poisson_model
 from rosterstat.case import JKZ, RKZ_41, RKZ_42, CaseFile, builtin_paper_case, pool_wards
 
 GENERAL_CAVEATS = (
@@ -157,6 +157,8 @@ def run_method(
              {"posterior_probability": bayes.posterior_probability(strict)}),
         ]
     if method == "relative-risk":
+        from rosterstat import risk_sim  # imports numpy, so only when needed
+
         basis, fixed = _parse_mu_basis(mu_basis)
         threshold = risk_sim.observed_threshold(case, names)
         cfg = risk_sim.derive_sim_config(

@@ -26,10 +26,10 @@ class TestOddsFromProbability:
         assert odds_from_probability(0.5) == 1.0
 
     def test_small_prior(self):
-        assert odds_from_probability(1e-5) == pytest.approx(1.00001e-5, rel=1e-9)
+        assert odds_from_probability(1e-5) == pytest.approx(1.00001e-5, rel=1e-9, abs=0)
 
     def test_inverse_consistency(self):
-        assert odds_from_probability(8.75 / 9.75) == pytest.approx(8.75, rel=1e-12)
+        assert odds_from_probability(8.75 / 9.75) == pytest.approx(8.75, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_boundary_rejected(self, p):
@@ -57,13 +57,13 @@ class TestUpdate:
         stepped = update(update(state, EvidenceItem("a", 2.0)), EvidenceItem("b", 3.0))
         direct = update(state, EvidenceItem("ab", 6.0))
         assert stepped.posterior_odds == pytest.approx(
-            direct.posterior_odds, rel=1e-14)
+            direct.posterior_odds, rel=1e-14, abs=0)
 
     def test_order_independent(self):
         reference = chain(1e-5, DE_VOS_LRS).posterior_odds
         for perm in permutations(DE_VOS_LRS):
             assert chain(1e-5, perm).posterior_odds == pytest.approx(
-                reference, rel=1e-12)
+                reference, rel=1e-12, abs=0)
 
     def test_applied_items_recorded(self):
         state = chain(1e-5, DE_VOS_LRS)
@@ -72,14 +72,14 @@ class TestUpdate:
     def test_state_invariant_enforced(self):
         state = OddsState(prior_odds=2.0,
                           applied=(EvidenceItem("a", 3.0),))
-        assert state.posterior_odds == pytest.approx(6.0)
+        assert state.posterior_odds == pytest.approx(6.0, abs=0)
 
 
 class TestPosteriorProbability:
     def test_published_value(self):
         state = chain(1e-5, DE_VOS_LRS)
         prob = posterior_probability(state)
-        assert prob == pytest.approx(8.75 / 9.75, rel=1e-12)
+        assert prob == pytest.approx(8.75 / 9.75, rel=1e-12, abs=0)
         assert 0.897 <= prob <= 0.898
 
     def test_even_odds(self):
@@ -92,7 +92,7 @@ class TestPosteriorProbability:
     def test_roundtrip_with_odds(self):
         for p in (0.01, 0.3, 0.5, 0.9, 0.999):
             state = OddsState(prior_odds=odds_from_probability(p))
-            assert posterior_probability(state) == pytest.approx(p, rel=1e-12)
+            assert posterior_probability(state) == pytest.approx(p, rel=1e-12, abs=0)
 
 
 class TestEvidenceItem:
@@ -100,3 +100,27 @@ class TestEvidenceItem:
     def test_bad_lr_rejected(self, lr):
         with pytest.raises(ValueError):
             EvidenceItem("bad", lr)
+
+
+class TestOddsState:
+    @pytest.mark.parametrize("odds", [0.0, -1.0, math.inf, math.nan, 10**400],
+                             ids=["zero", "negative", "inf", "nan", "10**400"])
+    def test_bad_prior_odds_rejected(self, odds):
+        with pytest.raises(ValueError, match="prior odds must be positive and finite"):
+            OddsState(prior_odds=odds)
+
+
+class TestOverflow:
+    def test_update_past_float_range_names_the_item(self):
+        state = update(OddsState(prior_odds=1.0), EvidenceItem("first", 1e300))
+        with pytest.raises(ValueError, match="after evidence 'second'"):
+            update(state, EvidenceItem("second", 1e300))
+
+    def test_state_built_from_applied_items_checks_too(self):
+        items = (EvidenceItem("a", 1e300), EvidenceItem("b", 1e300))
+        with pytest.raises(ValueError, match="after evidence 'b'"):
+            OddsState(prior_odds=1.0, applied=items)
+
+    def test_largest_finite_product_is_kept(self):
+        state = update(OddsState(prior_odds=1e8), EvidenceItem("big", 1e300))
+        assert state.posterior_odds == 1e308

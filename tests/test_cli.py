@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rosterstat
+from rosterstat import risk_sim
 from rosterstat.case import builtin_paper_case, serialize_case
 from rosterstat.cli import main
 from rosterstat.report import reproduce_paper
@@ -121,6 +126,18 @@ class TestAnalyze:
         assert shortcut == pytest.approx(8.75, abs=1e-12)
         assert 8.74 <= strict <= 8.76
 
+    def test_bayes_overflow_exits_2_with_nothing_on_stdout(self, tmp_path, capsys):
+        doc = json.loads(serialize_case(builtin_paper_case("corrected")))
+        doc["evidence"] = [{"label": "huge one", "lr": 1e300},
+                           {"label": "huge two", "lr": 1e300}]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--case", str(path),
+                             "--method", "bayes", "--output", "machine")
+        assert (code, out) == (2, "")
+        assert err.startswith("rosterstat: posterior odds overflow")
+        assert "'huge two'" in err
+
     def test_relative_risk_method(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "corrected",
                            "--method", "relative-risk", "--seed", "5",
@@ -152,6 +169,60 @@ class TestAnalyze:
         _, out, _ = run(capsys, "analyze", "--builtin", "corrected",
                         "--method", "pooled")
         assert "conditional on the total number of incidents" in out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs rosterstat.cli.main on the given arguments in a fresh interpreter,
+# then fails (exit 1) if numpy was loaded along the way.
+NUMPY_GUARD = """
+import sys
+import rosterstat.cli
+code = rosterstat.cli.main(sys.argv[1:])
+assert "numpy" not in sys.modules, "numpy was imported"
+sys.exit(code)
+"""
+
+
+def run_fresh(script, *argv):
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+
+
+class TestNumpyStaysOut:
+    """Only convolved and relative-risk need numpy; nothing else loads it."""
+
+    @pytest.mark.parametrize("method", [
+        "elffers", "per-ward", "bonferroni", "pooled", "fisher",
+        "poisson-lr", "binomial-cond", "bayes",
+    ])
+    def test_exact_methods(self, method):
+        done = run_fresh(NUMPY_GUARD, "analyze", "--builtin", "corrected",
+                         "--method", method, "--jkz-multiplier", "27")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("case: Lucia de B.")
+
+    def test_rejected_case_file(self, tmp_path):
+        doc = json.loads(serialize_case(builtin_paper_case("corrected")))
+        doc["evidence"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        done = run_fresh(NUMPY_GUARD, "analyze", "--case", str(bad), "--method", "pooled")
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == "rosterstat: case file: evidence must be an array, got 5\n"
+
+    def test_bare_import(self):
+        done = run_fresh("import sys, rosterstat; assert 'numpy' not in sys.modules")
+        assert done.returncode == 0, done.stderr
+
+    def test_risk_sim_names_still_resolve(self):
+        assert rosterstat.simulate_max_rr is risk_sim.simulate_max_rr
+        assert not hasattr(rosterstat, "no_such_name")
+        namespace: dict = {}
+        exec("from rosterstat import *", namespace)
+        assert len(rosterstat.__all__) == 42
+        assert [n for n in rosterstat.__all__ if n not in namespace] == []
 
 
 class TestReproducePaper:

@@ -22,10 +22,10 @@ class TestRelativeRisk:
         assert rr.value == pytest.approx(4.65, abs=0.01)
 
     def test_equal_rates(self):
-        assert relative_risk(2, 10, 4, 20).value == pytest.approx(1.0)
+        assert relative_risk(2, 10, 4, 20).value == pytest.approx(1.0, abs=0)
 
     def test_rkz41_corrected_counts(self):
-        assert relative_risk(1, 3, 4, 333).value == pytest.approx(27.75, rel=1e-12)
+        assert relative_risk(1, 3, 4, 333).value == pytest.approx(27.75, rel=1e-12, abs=0)
 
     def test_infinite_when_others_quiet(self):
         assert relative_risk(2, 10, 0, 50).value == math.inf
@@ -45,19 +45,19 @@ class TestDeriveSimConfig:
         cfg = derive_sim_config(builtin_paper_case("corrected"), RKZ,
                                 "exclude_suspect")
         assert (cfg.nurse_count, cfg.shifts_per_nurse) == (11, 61)
-        assert cfg.mu == pytest.approx(13 / 614)
+        assert cfg.mu == pytest.approx(13 / 614, abs=0)
 
     def test_rkz41(self):
         cfg = derive_sim_config(builtin_paper_case("corrected"), ["RKZ-41"],
                                 "exclude_suspect")
         assert (cfg.nurse_count, cfg.shifts_per_nurse) == (112, 3)
-        assert cfg.mu == pytest.approx(4 / 333)
+        assert cfg.mu == pytest.approx(4 / 333, abs=0)
 
     def test_rkz42(self):
         cfg = derive_sim_config(builtin_paper_case("corrected"), ["RKZ-42"],
                                 "include_suspect")
         assert (cfg.nurse_count, cfg.shifts_per_nurse) == (6, 58)
-        assert cfg.mu == pytest.approx(14 / 339)
+        assert cfg.mu == pytest.approx(14 / 339, abs=0)
 
     def test_zero_suspect_shifts_rejected(self):
         from rosterstat.case import CaseFile, WardRoster
@@ -114,7 +114,7 @@ class TestSimulateMaxRr:
                                replicates=4000, seed=5)
         report = simulate_max_rr(cfg, 2.0)
         p = report.p_value
-        assert report.std_error == pytest.approx(math.sqrt(p * (1 - p) / 4000))
+        assert report.std_error == pytest.approx(math.sqrt(p * (1 - p) / 4000), abs=0)
 
     def test_negative_threshold_rejected(self):
         cfg = SimulationConfig(nurse_count=5, shifts_per_nurse=10, mu=0.05,
@@ -195,7 +195,7 @@ class TestExactOracle:
                 if hit:
                     brute += pois(a) * pois(b)
         assert exact_max_rr_tail(2, 1, mean, 3.0, count_cap=cap) == pytest.approx(
-            brute, rel=1e-12)
+            brute, rel=1e-12, abs=0)
 
     def test_truncation_bound_enforced(self):
         with pytest.raises(ValueError, match="mass"):
@@ -228,4 +228,4 @@ class TestObservedThreshold:
 
     def test_rkz41(self):
         rr = observed_threshold(builtin_paper_case("corrected"), ["RKZ-41"])
-        assert rr.value == pytest.approx(27.75, rel=1e-12)
+        assert rr.value == pytest.approx(27.75, rel=1e-12, abs=0)
