@@ -21,6 +21,7 @@ from rosterstat.report import (
     reproduce_paper,
     result_entry,
     run_method,
+    strict_json,
 )
 
 METHODS = (
@@ -96,10 +97,9 @@ def _analyze(args: argparse.Namespace) -> int:
 def _reproduce(args: argparse.Namespace) -> int:
     rows = reproduce_paper(seed=args.seed, replicates=args.replicates)
     if args.output == "machine":
-        import json
         from dataclasses import asdict
 
-        print(json.dumps({"results": [asdict(r) for r in rows]}, indent=2))
+        print(strict_json({"results": [asdict(r) for r in rows]}))
     else:
         print(render_repro_table(rows))
     return 0 if all(r.passed for r in rows) else 1

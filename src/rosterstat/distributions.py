@@ -56,7 +56,7 @@ class DiscreteDist:
         if min(probs) < 0:
             raise ValueError("probabilities must be non-negative")
         total = math.fsum(probs)
-        if abs(total - 1.0) > _CLAMP_TOL:
+        if not abs(total - 1.0) <= _CLAMP_TOL:  # also rejects a NaN entry
             raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-12")
 
     @property

@@ -202,7 +202,20 @@ def render_text(report: AnalysisReport) -> str:
 
 
 def render_machine(report: AnalysisReport) -> str:
-    return json.dumps(report.to_dict(), indent=2)
+    return strict_json(report.to_dict())
+
+
+def strict_json(doc: Any) -> str:
+    """``doc`` as strict JSON, with an infinite float as "Infinity"."""
+    return json.dumps(_spell_infinity(doc), indent=2, allow_nan=False)
+
+
+def _spell_infinity(value: Any) -> Any:
+    if isinstance(value, dict):
+        return {k: _spell_infinity(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_infinity(v) for v in value]
+    return "Infinity" if value == math.inf else value
 
 
 def _fmt(value: Any) -> str:

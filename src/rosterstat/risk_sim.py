@@ -7,8 +7,11 @@ equal shifts the maximum relative risk belongs to the nurse with the most
 incidents, so only the maximum and the total matter.
 
 Randomness is counter-based (Philox keyed by the master seed); replicate i
-consumes a fixed, padded block of the uniform stream, so any partition of
-the replicate range across workers reproduces bit-identical counts.
+consumes a fixed, padded slice of the uniform stream, so any partition of
+the replicate range across workers, and any block size, reproduces
+bit-identical counts. Replicates are simulated in blocks sized by bytes
+(_BLOCK_BYTES of uniforms and counts, or one replicate if that is larger),
+so memory is about threads x max(budget, one replicate).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from rosterstat.poisson_model import estimate_mu
 
 logger = logging.getLogger(__name__)
 
-_BLOCK = 65536  # replicates simulated per numpy batch (memory cap)
+_BLOCK_BYTES = 2 << 20  # float64 uniforms plus int64 counts per block
 _CDF_TOL = 1e-15  # per-draw truncation of the Poisson inversion table
 
 
@@ -130,12 +133,20 @@ def _exceeds(max_counts: np.ndarray, totals: np.ndarray, I: int,
 
 
 def _simulate_range(cfg: SimulationConfig, threshold: float, cdf: np.ndarray,
-                    start: int, stop: int, stride: int) -> tuple[int, int]:
-    """Exceed/degenerate counts for replicates [start, stop)."""
+                    start: int, stop: int, stride: int,
+                    rows: int) -> tuple[int, int]:
+    """Exceed/degenerate counts for replicates [start, stop).
+
+    Works through the range in blocks of ``rows`` replicates, whose uniforms
+    and counts fit in _BLOCK_BYTES unless one replicate alone is larger, so
+    each thread holds about max(budget, one replicate).
+    Every block starts the stream at its first replicate's own offset, so
+    the counts do not depend on the block size.
+    """
     exceed = 0
     degenerate = 0
-    for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
+    for lo in range(start, stop, rows):
+        hi = min(lo + rows, stop)
         bit_gen = np.random.Philox(key=cfg.seed)
         bit_gen.advance(lo * stride // 4)  # Philox blocks hold 4 doubles
         uniforms = np.random.Generator(bit_gen).random((hi - lo, stride))
@@ -164,13 +175,16 @@ def simulate_max_rr(cfg: SimulationConfig, threshold: float,
     cdf = _poisson_inversion_table(mean)
     # pad each replicate's uniform block to a whole number of Philox blocks
     stride = 4 * math.ceil(cfg.nurse_count / 4)
+    # a replicate larger than the budget is simulated alone
+    rows = max(1, _BLOCK_BYTES // (8 * (stride + cfg.nurse_count)))
     bounds = np.linspace(0, cfg.replicates, workers + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     # threads beyond the core count cannot run at once; the ranges still
     # follow workers, so the partition is the same on every machine
     with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         results = list(
-            pool.map(lambda ab: _simulate_range(cfg, threshold, cdf, *ab, stride), ranges)
+            pool.map(lambda ab: _simulate_range(cfg, threshold, cdf, *ab, stride, rows),
+                     ranges)
         )
     exceed = sum(r[0] for r in results)
     degenerate = sum(r[1] for r in results)

@@ -10,7 +10,7 @@ import rosterstat
 from rosterstat import risk_sim
 from rosterstat.case import builtin_paper_case, serialize_case
 from rosterstat.cli import main
-from rosterstat.report import reproduce_paper
+from rosterstat.report import ReproRow, reproduce_paper
 
 
 def run(capsys, *argv):
@@ -151,6 +151,42 @@ class TestAnalyze:
         assert sim["config"]["replicates"] == 2000
         assert 0.0 <= sim["p_value"] <= 1.0
 
+    @staticmethod
+    def _one_ward_case(tmp_path, n, r, k, x):
+        ward = {"name": "A", "total_shifts": n, "suspect_shifts": r,
+                "total_incidents": k, "suspect_incidents": x}
+        path = tmp_path / "one_ward.json"
+        path.write_text(json.dumps({"case_name": "t", "suspect": "s",
+                                    "variant": "corrected", "wards": [ward]}),
+                        encoding="utf-8")
+        return str(path)
+
+    def test_machine_output_is_strict_json_when_others_are_quiet(self, tmp_path,
+                                                                capsys):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        path = self._one_ward_case(tmp_path, 100, 10, 3, 3)
+        argv = ["analyze", "--case", path, "--method", "relative-risk",
+                "--mu-basis", "include-suspect", "--replicates", "2000"]
+        code, out, _ = run(capsys, *argv, "--output", "machine")
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["results"][0]["RelativeRisk"]["value"] == "Infinity"
+        assert doc["results"][1]["SimulationReport"]["threshold"] == "Infinity"
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        assert "{value: inf, " in text
+
+    def test_nurse_count_over_the_block_budget_still_runs(self, tmp_path, capsys):
+        # I = n/r = 300,000: one replicate alone needs about 4.8 MB
+        path = self._one_ward_case(tmp_path, 300_000, 1, 10, 1)
+        code, out, _ = run(capsys, "analyze", "--case", path, "--method",
+                           "relative-risk", "--replicates", "8", "--output", "machine")
+        assert code == 0
+        sim = json.loads(out)["results"][1]["SimulationReport"]
+        assert sim["config"]["nurse_count"] == 300_000
+
     def test_wards_flag(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "corrected",
                            "--method", "per-ward", "--wards", "RKZ-42",
@@ -248,8 +284,19 @@ class TestReproducePaper:
                            "--seed", "3", "--output", "machine")
         assert first == second
 
+    def test_machine_output_is_strict_json_for_an_infinite_figure(self, monkeypatch,
+                                                                 capsys):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
 
-GOLDEN = json.loads(
+        row = ReproRow("rr", "inf", float("inf"), "exact", True)
+        monkeypatch.setattr("rosterstat.cli.reproduce_paper", lambda **_: [row])
+        code, out, _ = run(capsys, "reproduce-paper", "--output", "machine")
+        assert code == 0
+        assert json.loads(out, parse_constant=reject)["results"][0]["computed"] == "Infinity"
+
+
+GOLDEN =json.loads(
     (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
 
 

@@ -272,6 +272,12 @@ class TestDiscreteDist:
         with pytest.raises(ValueError):
             DiscreteDist(0, np.array([1.1, -0.1]))
 
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [1.0, math.nan],
+                                       [math.nan, -1.0, 2.0]])
+    def test_rejects_nan(self, probs):
+        with pytest.raises(ValueError):
+            DiscreteDist(0, probs)
+
 
 def test_clamp_only_near_boundary():
     # probabilities within 1e-12 of the boundary clamp; anything worse is a bug

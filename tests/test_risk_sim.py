@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -204,6 +205,72 @@ class TestExactOracle:
     def test_large_i_rejected(self):
         with pytest.raises(ValueError):
             exact_max_rr_tail(5, 1, 0.5, 1.0, count_cap=25)
+
+
+# seed 0, 100,000 replicates: the six Monte Carlo rows of reproduce-paper
+PAPER_ROWS = [
+    (RKZ, "exclude_suspect", 10782, 0),
+    (RKZ, "include_suspect", 4110, 0),
+    (["RKZ-41"], "exclude_suspect", 79880, 1717),
+    (["RKZ-41"], "include_suspect", 67830, 660),
+    (["RKZ-42"], "exclude_suspect", 39057, 0),
+    (["RKZ-42"], "include_suspect", 28876, 0),
+]
+
+
+def _paper_run(wards, basis, replicates=100_000):
+    case = builtin_paper_case("corrected")
+    cfg = derive_sim_config(case, wards, basis, replicates=replicates, seed=0)
+    return cfg, observed_threshold(case, wards).value
+
+
+class TestPaperCounts:
+    @pytest.mark.parametrize("wards,basis,exceed,degenerate", PAPER_ROWS)
+    def test_counts_are_pinned(self, wards, basis, exceed, degenerate):
+        report = simulate_max_rr(*_paper_run(wards, basis))
+        assert (report.exceed_count, report.degenerate_count) == (exceed, degenerate)
+
+    # 37 rows divides neither the range nor its parts; 0 is a budget below
+    # one replicate, which is then simulated alone
+    @pytest.mark.parametrize("rows", [37, 0])
+    @pytest.mark.parametrize("wards,basis", [(RKZ, "include_suspect"),
+                                             (["RKZ-41"], "exclude_suspect")])
+    def test_counts_do_not_depend_on_block_size(self, monkeypatch, wards, basis, rows):
+        cfg, threshold = _paper_run(wards, basis, replicates=20_011)
+        default = simulate_max_rr(cfg, threshold)
+        stride = 4 * math.ceil(cfg.nurse_count / 4)
+        monkeypatch.setattr(risk_sim, "_BLOCK_BYTES",
+                            rows * 8 * (stride + cfg.nurse_count) + 5)
+        for workers in (1, 2, 8):
+            assert simulate_max_rr(cfg, threshold, workers=workers) == default
+
+
+class TestBlockMemory:
+    def test_traced_peak_stays_within_the_budget(self):
+        cfg, threshold = _paper_run(["RKZ-41"], "exclude_suspect")
+        assert cfg.nurse_count == 112
+        tracemalloc.start()
+        try:
+            simulate_max_rr(cfg, threshold)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * risk_sim._BLOCK_BYTES
+
+    def test_replicate_over_the_budget_is_simulated_alone(self):
+        # I = 300,000: one replicate needs 4.8 MB, over the 2 MiB budget
+        cfg = SimulationConfig(nurse_count=300_000, shifts_per_nurse=1, mu=1e-5,
+                               replicates=4, seed=3)
+        replicate_bytes = 8 * (cfg.nurse_count + cfg.nurse_count)
+        assert replicate_bytes > risk_sim._BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            report = simulate_max_rr(cfg, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * replicate_bytes
+        assert report.exceed_count + report.degenerate_count > 0
 
 
 class TestSimulationMatchesOracle:
