@@ -44,15 +44,14 @@ class OddsState:
 
     prior_odds: float
     applied: tuple[EvidenceItem, ...] = ()
-    posterior_odds: float = field(default=None)  # type: ignore[assignment]
+    posterior_odds: float = field(init=False)
 
     def __post_init__(self) -> None:
         _require_positive_finite(self.prior_odds, "prior odds")
-        if self.posterior_odds is None:
-            post = self.prior_odds
-            for item in self.applied:
-                post = _times_lr(post, item)
-            object.__setattr__(self, "posterior_odds", post)
+        post = self.prior_odds
+        for item in self.applied:
+            post = _times_lr(post, item)
+        object.__setattr__(self, "posterior_odds", post)
 
 
 def _times_lr(odds: float, item: EvidenceItem) -> float:
@@ -75,11 +74,7 @@ def odds_from_probability(p: float) -> float:
 
 def update(state: OddsState, evidence: EvidenceItem) -> OddsState:
     """Apply one evidence item, multiplying the posterior odds by its LR."""
-    return OddsState(
-        prior_odds=state.prior_odds,
-        applied=state.applied + (evidence,),
-        posterior_odds=_times_lr(state.posterior_odds, evidence),
-    )
+    return OddsState(state.prior_odds, state.applied + (evidence,))
 
 
 def posterior_probability(state: OddsState) -> float:

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from rosterstat.case import CaseFile, CaseValidationError, builtin_paper_case, parse_case
 from rosterstat.report import (
-    METHOD_CAVEATS,
     build_report,
     render_machine,
     render_repro_table,
@@ -89,7 +88,7 @@ def _analyze(args: argparse.Namespace) -> int:
         replicates=args.replicates, workers=args.workers,
     )
     results = [result_entry(label, result, **extra) for label, result, extra in runs]
-    report = build_report(case, args.method, results, METHOD_CAVEATS.get(args.method, ""))
+    report = build_report(case, args.method, results)
     print(render_machine(report) if args.output == "machine" else render_text(report))
     return 0
 
@@ -97,9 +96,7 @@ def _analyze(args: argparse.Namespace) -> int:
 def _reproduce(args: argparse.Namespace) -> int:
     rows = reproduce_paper(seed=args.seed, replicates=args.replicates)
     if args.output == "machine":
-        from dataclasses import asdict
-
-        print(strict_json({"results": [asdict(r) for r in rows]}))
+        print(strict_json({"results": rows}))
     else:
         print(render_repro_table(rows))
     return 0 if all(r.passed for r in rows) else 1

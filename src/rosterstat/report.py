@@ -4,6 +4,8 @@ Every rendered result carries its method identifier, the data variant it
 was computed on, and a caveat block stating the conditioning assumptions,
 so no number can be quoted without its model scope. run_method computes
 each analysis method; ``analyze`` and the reproduction suite both call it.
+A report is a plain dict that holds the frozen result objects themselves;
+each renderer reads them in one walk, a dataclass as its fields.
 The reproduction suite recomputes each published figure from the built-in
 case and marks a row pass/fail against its stated tolerance.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any
 
 from rosterstat import bayes, frequentist, poisson_model
@@ -27,41 +29,25 @@ GENERAL_CAVEATS = (
 )
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """A case summary plus an ordered list of labelled results."""
-
-    case_name: str
-    suspect: str
-    variant: str
-    method: str
-    results: tuple[dict, ...]
-    caveats: str
-
-    def to_dict(self) -> dict:
-        return {
-            "case_name": self.case_name,
-            "suspect": self.suspect,
-            "variant": self.variant,
-            "method": self.method,
-            "results": list(self.results),
-            "caveats": self.caveats,
-        }
+def _fields(obj: Any) -> dict[str, Any]:
+    """A dataclass instance's fields in declaration order, not copied."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def result_entry(label: str, result: Any, **extra: Any) -> dict:
-    """Flatten a result dataclass and its extra fields into a serializable dict.
+    """A labelled result and its extra fields, as one report entry.
 
-    A TestResult's fields go at the top level; any other result sits under
-    its class name. Extra fields that are dataclasses become dicts.
+    A TestResult's fields go at the top level, followed by is_p_value; any
+    other result sits under its class name. Nothing is copied: the entry
+    holds the result objects, which the renderers read as their fields.
     """
     entry: dict[str, Any] = {"label": label}
     if isinstance(result, frequentist.TestResult):
-        entry.update(asdict(result))
+        entry.update(_fields(result))
         entry["is_p_value"] = result.is_p_value
     else:
-        entry[type(result).__name__] = asdict(result)
-    entry.update({k: asdict(v) if is_dataclass(v) else v for k, v in extra.items()})
+        entry[type(result).__name__] = result
+    entry.update(extra)
     return entry
 
 
@@ -145,11 +131,8 @@ def run_method(
     if method == "bayes":
         if not case.evidence:
             raise SystemExit("rosterstat: case file has no evidence array")
-        shortcut = bayes.OddsState(prior_odds=prior)
-        strict = bayes.OddsState(prior_odds=bayes.odds_from_probability(prior))
-        for item in case.evidence:
-            shortcut = bayes.update(shortcut, item)
-            strict = bayes.update(strict, item)
+        shortcut = bayes.OddsState(prior, case.evidence)
+        strict = bayes.OddsState(bayes.odds_from_probability(prior), case.evidence)
         return [
             (f"odds chain, prior probability {prior} used as prior odds", shortcut,
              {"posterior_probability": bayes.posterior_probability(shortcut)}),
@@ -169,58 +152,62 @@ def run_method(
     raise ValueError(f"unknown method {method!r}")
 
 
-def build_report(case: CaseFile, method: str, results: list[dict],
-                 extra_caveats: str = "") -> AnalysisReport:
+def build_report(case: CaseFile, method: str, results: list[dict]) -> dict:
+    """The report document: the case summary, the entries and the caveats."""
     caveats = GENERAL_CAVEATS
-    if extra_caveats:
-        caveats += " " + extra_caveats
-    return AnalysisReport(
-        case_name=case.case_name,
-        suspect=case.suspect,
-        variant=case.variant,
-        method=method,
-        results=tuple(results),
-        caveats=caveats,
-    )
+    if method in METHOD_CAVEATS:
+        caveats += " " + METHOD_CAVEATS[method]
+    return {
+        "case_name": case.case_name,
+        "suspect": case.suspect,
+        "variant": case.variant,
+        "method": method,
+        "results": results,
+        "caveats": caveats,
+    }
 
 
-def render_text(report: AnalysisReport) -> str:
+def render_text(report: dict) -> str:
     lines = [
-        f"case: {report.case_name} (suspect: {report.suspect}, "
-        f"data variant: {report.variant})",
-        f"method: {report.method}",
+        f"case: {report['case_name']} (suspect: {report['suspect']}, "
+        f"data variant: {report['variant']})",
+        f"method: {report['method']}",
         "",
     ]
-    for entry in report.results:
+    for entry in report["results"]:
         lines.append(f"- {entry['label']}")
         for key, value in entry.items():
             if key == "label":
                 continue
             lines.append(f"    {key}: {_fmt(value)}")
-    lines += ["", "caveats: " + report.caveats]
+    lines += ["", "caveats: " + report["caveats"]]
     return "\n".join(lines)
 
 
-def render_machine(report: AnalysisReport) -> str:
-    return strict_json(report.to_dict())
+def render_machine(report: dict) -> str:
+    return strict_json(report)
 
 
 def strict_json(doc: Any) -> str:
-    """``doc`` as strict JSON, with an infinite float as "Infinity"."""
-    return json.dumps(_spell_infinity(doc), indent=2, allow_nan=False)
+    """``doc`` as strict JSON: a dataclass as its fields, inf as "Infinity"."""
+    return json.dumps(_plain(doc), indent=2, allow_nan=False)
 
 
-def _spell_infinity(value: Any) -> Any:
+def _plain(value: Any) -> Any:
     if isinstance(value, dict):
-        return {k: _spell_infinity(v) for k, v in value.items()}
+        return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_spell_infinity(v) for v in value]
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return _plain(_fields(value))
     return "Infinity" if value == math.inf else value
 
 
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
+    if is_dataclass(value):
+        value = _fields(value)
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}: {_fmt(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):

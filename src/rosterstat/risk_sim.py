@@ -8,8 +8,9 @@ incidents, so only the maximum and the total matter.
 
 Randomness is counter-based (Philox keyed by the master seed); replicate i
 consumes a fixed, padded slice of the uniform stream, so any partition of
-the replicate range across workers, and any block size, reproduces
-bit-identical counts. Replicates are simulated in blocks sized by bytes
+the replicate range across threads, and any block size, reproduces
+bit-identical counts. Each thread advances one generator to the start of
+its range and draws its blocks in turn. Blocks are sized by bytes
 (_BLOCK_BYTES of uniforms and counts, or one replicate if that is larger),
 so memory is about threads x max(budget, one replicate).
 """
@@ -33,7 +34,7 @@ from rosterstat.poisson_model import estimate_mu
 logger = logging.getLogger(__name__)
 
 _BLOCK_BYTES = 2 << 20  # float64 uniforms plus int64 counts per block
-_CDF_TOL = 1e-15  # per-draw truncation of the Poisson inversion table
+_CDF_TOL = 1e-15  # target tail mass left out of the Poisson inversion table
 
 
 @dataclass(frozen=True)
@@ -100,16 +101,25 @@ class SimulationReport:
 
 
 def _poisson_inversion_table(mean: float) -> np.ndarray:
-    """CDF table for inverting uniforms into Poisson draws (tail < 1e-15)."""
+    """CDF table for inverting uniforms into Poisson draws.
+
+    Terms are added until the tail left out is below _CDF_TOL or, past the
+    mean, until the next term no longer changes the float sum, which can
+    stall just short of 1 - _CDF_TOL.
+    """
     cdf = []
     total = 0.0
     k = 0
     while total < 1.0 - _CDF_TOL:
-        total += poisson_pmf(mean, k)
+        term = poisson_pmf(mean, k)
+        if k > mean and total + term == total:
+            break
+        total += term
         cdf.append(total)
         k += 1
-        if k > 10_000:  # unreachable for the intensities this package sees
-            raise RuntimeError("Poisson inversion table failed to converge")
+        if k > 10_000:
+            raise ValueError(f"per-nurse Poisson mean {mean!r} needs an inversion "
+                             "table of over 10,000 entries")
     return np.array(cdf)
 
 
@@ -140,16 +150,18 @@ def _simulate_range(cfg: SimulationConfig, threshold: float, cdf: np.ndarray,
     Works through the range in blocks of ``rows`` replicates, whose uniforms
     and counts fit in _BLOCK_BYTES unless one replicate alone is larger, so
     each thread holds about max(budget, one replicate).
-    Every block starts the stream at its first replicate's own offset, so
-    the counts do not depend on the block size.
+    One generator is advanced to the range's first replicate; stride is a
+    multiple of 4, so each block leaves it at the next replicate's offset
+    and the counts do not depend on the block size.
     """
     exceed = 0
     degenerate = 0
+    bit_gen = np.random.Philox(key=cfg.seed)
+    bit_gen.advance(start * stride // 4)  # Philox blocks hold 4 doubles
+    gen = np.random.Generator(bit_gen)
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
-        bit_gen = np.random.Philox(key=cfg.seed)
-        bit_gen.advance(lo * stride // 4)  # Philox blocks hold 4 doubles
-        uniforms = np.random.Generator(bit_gen).random((hi - lo, stride))
+        uniforms = gen.random((hi - lo, stride))
         counts = np.searchsorted(cdf, uniforms[:, : cfg.nurse_count], side="right")
         totals = counts.sum(axis=1)
         max_counts = counts.max(axis=1)
@@ -177,11 +189,11 @@ def simulate_max_rr(cfg: SimulationConfig, threshold: float,
     stride = 4 * math.ceil(cfg.nurse_count / 4)
     # a replicate larger than the budget is simulated alone
     rows = max(1, _BLOCK_BYTES // (8 * (stride + cfg.nurse_count)))
-    bounds = np.linspace(0, cfg.replicates, workers + 1).astype(int)
-    ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    # threads beyond the core count cannot run at once; the ranges still
-    # follow workers, so the partition is the same on every machine
-    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+    # one range per thread; threads beyond the core count cannot run at once
+    threads = min(workers, os.cpu_count() or 1, cfg.replicates)
+    ranges = [(cfg.replicates * i // threads, cfg.replicates * (i + 1) // threads)
+              for i in range(threads)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(
             pool.map(lambda ab: _simulate_range(cfg, threshold, cdf, *ab, stride, rows),
                      ranges)

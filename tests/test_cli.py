@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -177,6 +178,23 @@ class TestAnalyze:
         code, text, _ = run(capsys, *argv)
         assert code == 0
         assert "{value: inf, " in text
+
+    def test_relative_risk_where_the_poisson_sum_stalls(self, tmp_path, capsys):
+        # per-nurse mean 0.4 x 20 = 8.0, whose float CDF never reaches 1 - 1e-15
+        path = self._one_ward_case(tmp_path, 100, 20, 44, 12)
+        code, out, _ = run(capsys, "analyze", "--case", path, "--method",
+                           "relative-risk", "--replicates", "100", "--output", "machine")
+        assert code == 0
+        p_value = json.loads(out)["results"][1]["SimulationReport"]["p_value"]
+        assert math.isfinite(p_value)
+
+    def test_relative_risk_mean_past_the_table_limit_exits_2(self, tmp_path, capsys):
+        # per-nurse mean 0.5 x 40,000 = 20,000
+        path = self._one_ward_case(tmp_path, 100_000, 40_000, 50_000, 20_000)
+        code, out, err = run(capsys, "analyze", "--case", path, "--method",
+                             "relative-risk", "--replicates", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("rosterstat: per-nurse Poisson mean 20000")
 
     def test_nurse_count_over_the_block_budget_still_runs(self, tmp_path, capsys):
         # I = n/r = 300,000: one replicate alone needs about 4.8 MB

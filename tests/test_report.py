@@ -1,0 +1,156 @@
+"""The renderers read result objects in place and print what a copy would.
+
+The reference below is the report layer as first written: every result is
+deep-copied by ``dataclasses.asdict``, and a second walk spells an
+infinite float as "Infinity" before encoding.
+"""
+
+import json
+import math
+from dataclasses import asdict, is_dataclass
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rosterstat import frequentist
+from rosterstat.bayes import EvidenceItem, OddsState, posterior_probability, update
+from rosterstat.case import JKZ, RKZ_41, RKZ_42, VARIANTS, CaseFile, WardRoster
+from rosterstat.report import (
+    GENERAL_CAVEATS,
+    METHOD_CAVEATS,
+    build_report,
+    render_machine,
+    render_text,
+    result_entry,
+    run_method,
+)
+from rosterstat.risk_sim import SimulationConfig, SimulationReport, relative_risk
+
+EXACT_METHODS = ("elffers", "per-ward", "bonferroni", "pooled", "convolved", "fisher",
+                 "poisson-lr", "binomial-cond", "bayes")
+
+
+def _reference_entry(label, result, **extra):
+    entry = {"label": label}
+    if isinstance(result, frequentist.TestResult):
+        entry.update(asdict(result))
+        entry["is_p_value"] = result.is_p_value
+    else:
+        entry[type(result).__name__] = asdict(result)
+    entry.update({k: asdict(v) if is_dataclass(v) else v for k, v in extra.items()})
+    return entry
+
+
+def _reference_doc(case, method, runs):
+    caveats = GENERAL_CAVEATS
+    if method in METHOD_CAVEATS:
+        caveats += " " + METHOD_CAVEATS[method]
+    return {
+        "case_name": case.case_name,
+        "suspect": case.suspect,
+        "variant": case.variant,
+        "method": method,
+        "results": [_reference_entry(label, result, **extra) for label, result, extra in runs],
+        "caveats": caveats,
+    }
+
+
+def _spell_infinity(value):
+    if isinstance(value, dict):
+        return {k: _spell_infinity(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_infinity(v) for v in value]
+    return "Infinity" if value == math.inf else value
+
+
+def _reference_fmt(value):
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_reference_fmt(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_reference_fmt(v) for v in value) + "]"
+    return str(value)
+
+
+def _reference_text(doc):
+    lines = [
+        f"case: {doc['case_name']} (suspect: {doc['suspect']}, "
+        f"data variant: {doc['variant']})",
+        f"method: {doc['method']}",
+        "",
+    ]
+    for entry in doc["results"]:
+        lines.append(f"- {entry['label']}")
+        lines += [f"    {key}: {_reference_fmt(value)}"
+                  for key, value in entry.items() if key != "label"]
+    lines += ["", "caveats: " + doc["caveats"]]
+    return "\n".join(lines)
+
+
+def assert_renders_like_the_reference(case, method, runs):
+    report = build_report(case, method,
+                          [result_entry(label, result, **extra) for label, result, extra in runs])
+    doc = _reference_doc(case, method, runs)
+    machine = render_machine(report)
+    assert machine == json.dumps(_spell_infinity(doc), indent=2, allow_nan=False)
+    assert render_text(report) == _reference_text(doc)
+    return machine
+
+
+@st.composite
+def paper_wards(draw, name):
+    # both the suspect and the others see incidents, so every method applies
+    n = draw(st.integers(60, 2000))
+    r = draw(st.integers(1, n // 2))
+    k = draw(st.integers(2, 30))
+    x = draw(st.integers(1, min(r, k - 1)))
+    nurse_count = draw(st.none() | st.integers(1, 60))
+    return WardRoster(name, n, r, k, x, nurse_count=nurse_count)
+
+
+@st.composite
+def paper_cases(draw):
+    names = draw(st.lists(st.sampled_from([JKZ, RKZ_41, RKZ_42, "A", "B"]),
+                          min_size=1, max_size=4, unique=True))
+    evidence = st.builds(EvidenceItem, label=st.text(max_size=12),
+                         lr=st.floats(0.01, 100.0), provenance=st.text(max_size=12))
+    return CaseFile(
+        case_name=draw(st.text(max_size=12)),
+        suspect=draw(st.text(max_size=12)),
+        wards=tuple(draw(paper_wards(name)) for name in names),
+        variant=draw(st.sampled_from(VARIANTS)),
+        evidence=tuple(draw(st.lists(evidence, min_size=1, max_size=4))),
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(paper_cases())
+def test_every_exact_method_renders_like_the_reference(case):
+    names = case.default_ward_names()
+    for method in EXACT_METHODS:
+        assert_renders_like_the_reference(
+            case, method, run_method(case, method, names, jkz_multiplier=27))
+
+
+def test_infinite_and_nested_results_render_like_the_reference():
+    case = CaseFile(case_name="direct", suspect="s",
+                    wards=(WardRoster("A", 100, 10, 3, 3),), variant="corrected")
+    config = SimulationConfig(nurse_count=10, shifts_per_nurse=10, mu=0.01,
+                              replicates=100, seed=4)
+    simulation = SimulationReport(config=config, threshold=math.inf, exceed_count=7,
+                                  p_value=0.07, std_error=0.0255, degenerate_count=30)
+    odds = OddsState(prior_odds=1e-5)
+    for item in (EvidenceItem("first", 9.0, "report"), EvidenceItem("second", 0.5)):
+        odds = update(odds, item)
+    runs = [
+        ("observed relative risk", relative_risk(3, 10, 0, 90), {}),
+        ("null calibration", simulation, {}),
+        ("odds chain", odds, {"posterior_probability": posterior_probability(odds)}),
+    ]
+    machine = assert_renders_like_the_reference(case, "relative-risk", runs)
+    results = json.loads(machine)["results"]
+    assert results[0]["RelativeRisk"]["value"] == "Infinity"
+    assert results[1]["SimulationReport"]["threshold"] == "Infinity"
+    assert results[1]["SimulationReport"]["config"]["seed"] == 4
+    assert [e["label"] for e in results[2]["OddsState"]["applied"]] == ["first", "second"]

@@ -5,6 +5,7 @@ import pytest
 
 from rosterstat import risk_sim
 from rosterstat.case import builtin_paper_case
+from rosterstat.distributions import poisson_pmf
 from rosterstat.risk_sim import (
     SimulationConfig,
     derive_sim_config,
@@ -128,7 +129,7 @@ class TestSimulateMaxRr:
         with pytest.raises(ValueError, match="positive and finite"):
             SimulationConfig(nurse_count=5, shifts_per_nurse=10, mu=mu)
 
-    @pytest.mark.parametrize("cpus, expected", [(2, 2), (None, 1)])
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (7, 7), (None, 1)])
     def test_thread_count_capped_at_cores(self, monkeypatch, cpus, expected):
         # a serial stand-in for the pool, so no real threads are started
         seen = []
@@ -153,6 +154,38 @@ class TestSimulateMaxRr:
         monkeypatch.setattr(risk_sim.os, "cpu_count", lambda: cpus)
         assert simulate_max_rr(cfg, 2.0, workers=1000) == serial
         assert seen == [expected]
+
+
+def _reference_table(mean):
+    """The inversion table as first written: None where its sum stalls."""
+    cdf = []
+    total = 0.0
+    k = 0
+    while total < 1.0 - 1e-15:
+        total += poisson_pmf(mean, k)
+        cdf.append(total)
+        k += 1
+        if k > 10_000:
+            return None
+    return cdf
+
+
+class TestPoissonInversionTable:
+    # 0.1 ... 15.0, where the old sum first stalls at 8.0, and some large means
+    MEANS = [i / 10 for i in range(1, 151)] + [50.0, 100.0, 500.0, 2000.0, 9000.0]
+
+    def test_table_covers_the_mass_and_keeps_working_tables(self):
+        stalled = []
+        for mean in self.MEANS:
+            table = risk_sim._poisson_inversion_table(mean).tolist()
+            assert all(a <= b for a, b in zip(table, table[1:])), mean
+            assert table[-1] >= 1.0 - 1e-12, mean
+            reference = _reference_table(mean)
+            if reference is None:
+                stalled.append(mean)
+            else:
+                assert table == reference, mean
+        assert {8.0, 9.7, 10.3, 11.2, 12.6} <= set(stalled)
 
 
 class TestExactOracle:
@@ -256,6 +289,20 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3 * risk_sim._BLOCK_BYTES
+
+    def test_worker_count_does_not_size_the_partition(self):
+        # the pool is capped at the core count, so few threads start
+        cfg = SimulationConfig(nurse_count=5, shifts_per_nurse=10, mu=0.05,
+                               replicates=2000, seed=5)
+        serial = simulate_max_rr(cfg, 2.0)
+        tracemalloc.start()
+        try:
+            report = simulate_max_rr(cfg, 2.0, workers=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert report == serial
 
     def test_replicate_over_the_budget_is_simulated_alone(self):
         # I = 300,000: one replicate needs 4.8 MB, over the 2 MiB budget
