@@ -246,16 +246,26 @@ def builtin_paper_case(variant: str = "corrected") -> CaseFile:
     )
 
 
+def named_wards(case: CaseFile, names: list[str] | tuple[str, ...]) -> list[WardRoster]:
+    """The named wards of a case, in the order named.
+
+    Raises CaseValidationError when no ward is named or one is named twice,
+    and KeyError for a name the case does not have.
+    """
+    if not names:
+        raise CaseValidationError("no ward named: the ward list is empty")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise CaseValidationError(f"ward {name!r} is named more than once")
+    return [case.ward(name) for name in names]
+
+
 def pool_wards(case: CaseFile, names: list[str] | tuple[str, ...]) -> WardRoster:
     """Component-wise sum of the named wards' counts.
 
     nurse_count is dropped: it is undefined for a pool of wards.
     """
-    if not names:
-        raise CaseValidationError("pool_wards needs at least one ward name")
-    rosters = [case.ward(name) for name in names]
-    if len(set(names)) != len(names):
-        raise CaseValidationError(f"duplicate ward names in pool: {list(names)}")
+    rosters = named_wards(case, names)
     return WardRoster(
         name="+".join(names),
         total_shifts=sum(w.total_shifts for w in rosters),

@@ -214,10 +214,32 @@ class TestAnalyze:
         assert len(doc["results"]) == 1
         assert doc["results"][0]["label"] == "RKZ-42"
 
+    @pytest.mark.parametrize("method", ["per-ward", "bonferroni", "pooled", "convolved",
+                                        "fisher"])
+    def test_repeated_ward_exits_2(self, capsys, method):
+        code, out, err = run(capsys, "analyze", "--builtin", "corrected",
+                             "--method", method, "--wards", "RKZ-42,RKZ-42")
+        assert (code, out) == (2, "")
+        assert err.startswith("rosterstat: ") and "'RKZ-42'" in err
+
+    def test_empty_ward_list_exits_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--builtin", "corrected",
+                             "--method", "per-ward", "--wards", " , ")
+        assert (code, out) == (2, "")
+        assert err.startswith("rosterstat: no ward named")
+
     def test_unknown_ward_nonzero(self, capsys):
         code, _, err = run(capsys, "analyze", "--builtin", "corrected",
                            "--method", "pooled", "--wards", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["--method", "bayes"],
+                                      ["--method", "elffers", "--jkz-multiplier", "27"]])
+    def test_unknown_ward_exits_2_where_the_method_reads_no_ward(self, capsys, argv):
+        code, out, err = run(capsys, "analyze", "--builtin", "corrected", *argv,
+                             "--wards", "nope")
+        assert (code, out) == (2, "")
+        assert err.startswith("rosterstat: ") and "'nope'" in err
 
     def test_conditioning_note_always_present(self, capsys):
         _, out, _ = run(capsys, "analyze", "--builtin", "corrected",
@@ -331,9 +353,12 @@ class TestAnalyzeMatchesReproduce:
     """Each figure reproduce-paper checks is the number analyze prints."""
 
     @pytest.fixture(scope="class")
-    def rows(self):
-        return {row.label: row.computed
-                for row in reproduce_paper(seed=3, replicates=2000)}
+    def repro(self):
+        return reproduce_paper(seed=3, replicates=2000)
+
+    @pytest.fixture(scope="class")
+    def rows(self, repro):
+        return {row.label: row.computed for row in repro}
 
     def analyze(self, capsys, *argv):
         code, out, _ = run(capsys, "analyze", "--output", "machine", *argv)
@@ -396,3 +421,11 @@ class TestAnalyzeMatchesReproduce:
     def test_reference_row_is_the_pooled_tail(self, rows):
         assert (rows["pooled RKZ tail, exact value for reference (see notes)"]
                 == rows["pooled RKZ tail"])
+
+    def test_reference_row_quotes_both_pooled_tails(self, capsys, repro):
+        [row] = [r for r in repro
+                 if r.label == "pooled RKZ tail, exact value for reference (see notes)"]
+        corrected = self.analyze(capsys, "--builtin", "corrected", "--method", "pooled")
+        original = self.analyze(capsys, "--builtin", "original", "--method", "pooled")
+        assert f"corrected counts is {corrected[0]['p_value']:.2g}," in row.paper_value
+        assert row.paper_value.endswith(f"59 shifts is {original[0]['p_value']:.2g}")

@@ -2,14 +2,19 @@
 
 The reference below is the report layer as first written: every result is
 deep-copied by ``dataclasses.asdict``, and a second walk spells an
-infinite float as "Infinity" before encoding.
+infinite float as "Infinity" before encoding. The one-pass JSON writer is
+checked against the encoder it replaced: a walk that reads a dataclass as
+its fields, then ``json.dumps(indent=2, allow_nan=False)``.
 """
 
 import json
 import math
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from fractions import Fraction
+from typing import Any
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rosterstat import frequentist
@@ -23,6 +28,7 @@ from rosterstat.report import (
     render_text,
     result_entry,
     run_method,
+    strict_json,
 )
 from rosterstat.risk_sim import SimulationConfig, SimulationReport, relative_risk
 
@@ -154,3 +160,82 @@ def test_infinite_and_nested_results_render_like_the_reference():
     assert results[1]["SimulationReport"]["threshold"] == "Infinity"
     assert results[1]["SimulationReport"]["config"]["seed"] == 4
     assert [e["label"] for e in results[2]["OddsState"]["applied"]] == ["first", "second"]
+
+
+def _plain(value):
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return _plain({f.name: getattr(value, f.name) for f in fields(value)})
+    return "Infinity" if value == math.inf else value
+
+
+def _reference_strict_json(doc):
+    return json.dumps(_plain(doc), indent=2, allow_nan=False)
+
+
+@dataclass(frozen=True)
+class Box:
+    value: Any
+    note: str = "boxed"
+
+
+@dataclass(frozen=True)
+class Empty:
+    pass
+
+
+def _simulation_reports():
+    configs = st.builds(SimulationConfig, nurse_count=st.integers(2, 10**6),
+                        shifts_per_nurse=st.integers(1, 10**4),
+                        mu=st.floats(1e-300, 1e300), replicates=st.integers(1, 10**9),
+                        seed=st.integers(0, 2**64 - 1))
+    return st.builds(SimulationReport, config=configs,
+                     threshold=st.floats(0.0, allow_nan=False),
+                     exceed_count=st.integers(0), p_value=st.floats(0.0, 1.0),
+                     std_error=st.floats(0.0, 1.0), degenerate_count=st.integers(0))
+
+
+JSON_LEAVES = (
+    st.text() | st.integers(-(2**200), 2**200) | st.booleans() | st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.inf])
+    | st.builds(Empty) | _simulation_reports()
+    | st.builds(OddsState, prior_odds=st.floats(1e-300, 1e290),
+                applied=st.lists(st.builds(EvidenceItem, label=st.text(),
+                                           lr=st.floats(1e-3, 1e3),
+                                           provenance=st.text()), max_size=3).map(tuple))
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children) | st.builds(Box, children)),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(JSON_TREES)
+@example({"caf\u00e9 \U0001f600": ["\x00\x1f\"\\/\u2028", "", -0.0, 5e-324, 2**70],
+          "nested": {"empty list": [], "empty dict": {}, "empty tuple": (),
+                     "empty dataclass": Empty(), "inf": math.inf}})
+def test_strict_json_writes_the_bytes_json_dumps_writes(doc):
+    assert strict_json(doc) == _reference_strict_json(doc)
+
+
+def _oracle_error(doc):
+    with pytest.raises((ValueError, TypeError)) as expected:
+        _reference_strict_json(doc)
+    return expected.type, str(expected.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, Fraction(1, 3), {1, 2}],
+                         ids=["nan", "-inf", "Fraction", "set"])
+def test_strict_json_raises_as_json_does(bad):
+    doc = {"results": [1.0, Box({"deep": bad})]}
+    kind, message = _oracle_error(doc)
+    with pytest.raises(kind) as raised:
+        strict_json(doc)
+    assert raised.type is kind and str(raised.value) == message
