@@ -25,6 +25,10 @@ JKZ = "JKZ"
 RKZ_41 = "RKZ-41"
 RKZ_42 = "RKZ-42"
 
+# The largest count a ward may hold: every count up to 2**53 is exactly a
+# float, so each operand the kernels convert to a float is exact.
+MAX_COUNT = 2**53
+
 
 class CaseValidationError(ValueError):
     """A roster or case file violates a structural invariant."""
@@ -36,6 +40,7 @@ class WardRoster:
 
     total_shifts is the ward total n, suspect_shifts the suspect's r,
     total_incidents the ward total k, suspect_incidents the suspect's x.
+    Every count, nurse_count included, is at most MAX_COUNT = 2**53.
     """
 
     name: str
@@ -52,6 +57,10 @@ class WardRoster:
             raise CaseValidationError(f"{self.name}: total_shifts must be positive, got {n}")
         if r < 0 or k < 0 or x < 0:
             raise CaseValidationError(f"{self.name}: counts must be non-negative")
+        for key in (*_COUNT_KEYS, "nurse_count"):
+            value = getattr(self, key)
+            if value is not None and value > MAX_COUNT:
+                raise CaseValidationError(f"{self.name}: {key} must be at most 2**53")
         if r > n:
             raise CaseValidationError(f"{self.name}: suspect_shifts exceeds total_shifts")
         if k > n:

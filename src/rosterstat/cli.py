@@ -110,7 +110,9 @@ def main(argv: list[str] | None = None) -> int:
             return _analyze(args)
         return _reproduce(args)
     except (CaseValidationError, ValueError, KeyError) as exc:
-        print(f"rosterstat: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        print(f"rosterstat: {message}", file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,9 @@ ever formed, so counts like C(1029, 142) never overflow. A tail is the
 exactly rounded ``math.fsum`` of a slice of that vector. The vectors are
 plain ``array('d')`` buffers built with ``math`` and ``itertools``, so the
 exact methods never load numpy; only ``convolve``, the sum of independent
-counts, imports it, for one ``np.convolve`` chain over their vectors.
+counts, imports it, for one ``np.convolve`` chain over their vectors. Each
+kernel converts its integer counts to floats once per call, which gives
+the same terms as int operands would, bit for bit.
 Probabilities that land within 1e-12 of [0, 1] are clamped to the
 boundary; anything further out raises, because a larger excursion means a
 bug rather than rounding.
@@ -80,10 +82,10 @@ def _from_log_ratios(support_min: int, log_ratios: list[float]) -> DiscreteDist:
     it and the mode, and every point is scaled by the mode's value before
     normalising, so nothing overflows.
     """
-    mode = sum(1 for v in log_ratios if v > 0)
+    mode = sum(map((0.0).__lt__, log_ratios))
     below = [-v for v in accumulate(reversed(log_ratios[:mode]))]
     below.reverse()
-    probs = [math.exp(v) for v in (*below, 0.0, *accumulate(log_ratios[mode:]))]
+    probs = list(map(math.exp, (*below, 0.0, *accumulate(log_ratios[mode:]))))
     total = math.fsum(probs)
     return DiscreteDist(support_min, [p / total for p in probs])
 
@@ -99,10 +101,15 @@ def hypergeom_dist(n: int, r: int, k: int) -> DiscreteDist:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    lo = max(0, k - (n - r))
+    lo, hi = max(0, k - (n - r)), min(r, k)
+    if lo == hi:  # one point: no ratio, so no count is converted to a float
+        return DiscreteDist(lo, [1.0])
+    # float(r) is the correctly rounded conversion Python makes of an int
+    # operand inside a float term, so converting once leaves every term's bits.
+    rf, kf, restf = float(r), float(k), float(n - r - k)
     return _from_log_ratios(lo, [
-        math.log((r - x) * (k - x) / ((x + 1) * (n - r - k + x + 1)))
-        for x in map(float, range(lo, min(r, k)))
+        math.log((rf - x) * (kf - x) / ((x + 1.0) * (restf + x + 1.0)))
+        for x in map(float, range(lo, hi))
     ])
 
 
@@ -130,8 +137,9 @@ def binomial_tail(trials: int, success_prob: float, x_min: int) -> float:
     if success_prob == 1.0:
         return 1.0 if x_min <= trials else 0.0
     log_odds = math.log(success_prob) - math.log1p(-success_prob)
+    trials_f = float(trials)
     return _from_log_ratios(0, [
-        math.log((trials - x) / (x + 1)) + log_odds for x in map(float, range(trials))
+        math.log((trials_f - x) / (x + 1.0)) + log_odds for x in map(float, range(trials))
     ]).tail(x_min)
 
 

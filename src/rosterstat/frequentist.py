@@ -11,7 +11,7 @@ Fisher's chi-squared combination of independent p-values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from rosterstat.case import JKZ, CaseFile, WardRoster, pool_wards
@@ -117,10 +117,12 @@ def bonferroni_min(p_values: Sequence[float], nurse_count: int) -> TestResult:
 def pooled_test(case: CaseFile, names: Sequence[str]) -> TestResult:
     """Tail test on the component-wise pooled counts of the named wards."""
     pool = pool_wards(case, list(names))
-    result = ward_tail_p(pool)
-    return replace(
-        result,
+    p = hypergeom_tail(pool.total_shifts, pool.suspect_shifts, pool.total_incidents,
+                       pool.suspect_incidents)
+    return TestResult(
         method="pooled_tail",
+        p_value=p,
+        components=((pool.name, p, 1.0),),
         notes=f"pooled wards {list(names)}; {CONDITIONING_NOTE}",
     )
 

@@ -4,19 +4,22 @@ Each nurse's incident count is modelled as Poisson(mu * shifts). The
 prosecution and defence differ only in how they estimate the background
 intensity mu; the suspect's own intensity mu_L is fitted so her expected
 count equals her observed count. All intensities are kept as exact integer
-ratios until the final floating-point evaluation.
+ratios (numerator, denominator) until the final floating-point evaluation,
+which is one correctly rounded integer division per float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from rosterstat.case import CaseFile, pool_wards
 from rosterstat.distributions import binomial_tail
 from rosterstat.frequentist import TestResult
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MU_BASES = ("exclude_suspect", "include_suspect", "fixed")
 
@@ -58,10 +61,17 @@ class IntensityEstimate:
                 )
 
     @property
-    def exact(self) -> Fraction:
+    def ratio(self) -> tuple[int, int]:
+        """mu as an exact (numerator, denominator) pair, denominator positive."""
         if self.basis == "fixed":
-            return Fraction(self.mu)
-        return Fraction(self.numerator, self.denominator)
+            return self.mu.as_integer_ratio()
+        return self.numerator, self.denominator
+
+    @property
+    def exact(self) -> Fraction:
+        from fractions import Fraction  # only here, so the CLI never imports it
+
+        return Fraction(*self.ratio)
 
 
 @dataclass(frozen=True)
@@ -81,8 +91,15 @@ class SuspectIntensity:
             raise ValueError("the suspect's intensity needs positive counts")
 
     @property
+    def ratio(self) -> tuple[int, int]:
+        """mu_L as an exact (numerator, denominator) pair, denominator positive."""
+        return self.numerator, self.denominator
+
+    @property
     def exact(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
+        from fractions import Fraction  # only here, so the CLI never imports it
+
+        return Fraction(*self.ratio)
 
 
 def observed_rate(incidents: int, shifts: int) -> SuspectIntensity:
@@ -180,24 +197,24 @@ def lr_poisson(
     """LR = exp(mu*r_j - mu_L*r_j) * (mu_L / mu) ** k_j.
 
     The other nurses' Poisson factors are identical under both hypotheses
-    and cancel, leaving only the suspect's term. Computed in log space.
+    and cancel, leaving only the suspect's term. Computed in log space from
+    the exact ratios mu = a/b and mu_L = c/d: each int true division is
+    correctly rounded, so every float is the one the exact rational rounds to.
     """
     if r_j < 1:
         raise ValueError(f"r_j must be >= 1, got {r_j}")
     if k_j < 0:
         raise ValueError(f"k_j must be >= 0, got {k_j}")
-    mu_exact = mu.exact if isinstance(mu, IntensityEstimate) else Fraction(mu)
-    mu_L_exact = mu_L.exact if isinstance(mu_L, SuspectIntensity) else Fraction(mu_L)
-    if mu_exact <= 0:
+    a, b = mu.ratio if isinstance(mu, IntensityEstimate) else mu.as_integer_ratio()
+    c, d = mu_L.ratio if isinstance(mu_L, SuspectIntensity) else mu_L.as_integer_ratio()
+    if a <= 0:
         raise ValueError("background intensity must be positive")
-    if mu_L_exact <= 0:
+    if c <= 0:
         raise ValueError("suspect intensity must be positive" if k_j == 0
                          else "k_j > 0 with zero suspect intensity")
-    log_lr = float((mu_exact - mu_L_exact) * r_j) + k_j * (
-        math.log(mu_L_exact) - math.log(mu_exact)
-    )
+    log_lr = (a * d - c * b) * r_j / (b * d) + k_j * (math.log(c / d) - math.log(a / b))
     value = math.exp(log_lr)
-    if mu_exact == mu_L_exact:
+    if a * d == c * b:
         value = 1.0
     direction = NEUTRAL if value == 1.0 else (
         FAVORS_PROSECUTION if value > 1.0 else FAVORS_DEFENCE
@@ -218,8 +235,10 @@ def conditional_binomial_test(
     """
     pool = pool_wards(case, names if names is not None else case.default_ward_names())
     total = pool.total_incidents
-    p = Fraction(pool.suspect_shifts, pool.total_shifts)
-    tail = binomial_tail(total, float(p), pool.suspect_incidents)
+    shifts, all_shifts = pool.suspect_shifts, pool.total_shifts
+    tail = binomial_tail(total, shifts / all_shifts, pool.suspect_incidents)
+    g = math.gcd(shifts, all_shifts)
+    p = f"{shifts // g}" if g == all_shifts else f"{shifts // g}/{all_shifts // g}"
     return TestResult(
         method="conditional_binomial",
         p_value=tail,

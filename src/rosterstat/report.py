@@ -5,9 +5,14 @@ was computed on, and a caveat block stating the conditioning assumptions,
 so no number can be quoted without its model scope. run_method computes
 each analysis method; ``analyze`` and the reproduction suite both call it.
 A report is a plain dict that holds the frozen result objects themselves;
-each renderer reads them in one walk, a dataclass as its fields. Machine
-output is written by that walk directly, byte-equal to
-``json.dumps(indent=2, allow_nan=False)``, with ``math.inf`` spelt "Infinity".
+each renderer reads them in one walk, a dataclass as its fields (their
+names are read once per class). Machine output is written by that walk
+directly, byte-equal to ``json.dumps(indent=2, allow_nan=False)``, with
+``math.inf`` spelt "Infinity": a list, tuple or dict is told by its exact
+type, and its ``str`` and finite ``float`` children are written in place,
+without a call per leaf; every rarer kind (None, bools, ints, subclasses,
+NaN, infinities, dataclasses) goes through one fallback that tests kinds in
+json's order and raises json's errors.
 The reproduction suite recomputes each published figure from the built-in
 case and marks a row pass/fail against its stated tolerance.
 """
@@ -39,9 +44,17 @@ GENERAL_CAVEATS = (
 )
 
 
+# Each dataclass's field names, in declaration order, read once per class.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def _fields(obj: Any) -> dict[str, Any]:
-    """A dataclass instance's fields in declaration order, not copied."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    """A dataclass instance's (or class's) fields in declaration order, not copied."""
+    cls = obj if isinstance(obj, type) else type(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return {name: getattr(obj, name) for name in names}
 
 
 def result_entry(label: str, result: Any, **extra: Any) -> dict:
@@ -214,7 +227,54 @@ def strict_json(doc: Any) -> str:
 
 
 def _write(value: Any, out: list[str], newline: str) -> None:
-    """Append ``value`` as indented JSON; ``newline`` ends with its indent."""
+    """Append ``value`` as indented JSON; ``newline`` ends with its indent.
+
+    A list, tuple or dict is told by its exact type, and its ``str`` and
+    finite ``float`` children are written in place, without a call; every
+    rarer kind goes through ``_write_other``. ``x - x == 0.0`` holds for a
+    finite float only: it is NaN for NaN and for either infinity.
+    """
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                out.append(f"{separator}{_quote(item)}")
+            elif kind is float and item - item == 0.0:
+                out.append(f"{separator}{item!r}")
+            else:
+                out.append(separator)
+                _write(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            kind = type(item)
+            if kind is str:
+                out.append(f"{separator}{_quote(key)}: {_quote(item)}")
+            elif kind is float and item - item == 0.0:
+                out.append(f"{separator}{_quote(key)}: {item!r}")
+            else:
+                out.append(f"{separator}{_quote(key)}: ")
+                _write(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        _write_other(value, out, newline)
+
+
+def _write_other(value: Any, out: list[str], newline: str) -> None:
+    """Append any other value, testing its kind in the order json does."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif isinstance(value, float):
@@ -231,28 +291,11 @@ def _write(value: Any, out: list[str], newline: str) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            out.append(separator)
-            _write(item, out, inner)
-            separator = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict) or is_dataclass(value):
-        items = value if isinstance(value, dict) else _fields(value)
-        if not items:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in items.items():
-            out.append(separator + _quote(key) + ": ")
-            _write(item, out, inner)
-            separator = "," + inner
-        out.append(newline + "}")
+        _write(list(value), out, newline)
+    elif isinstance(value, dict):
+        _write(dict(value.items()), out, newline)
+    elif is_dataclass(value):
+        _write(_fields(value), out, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

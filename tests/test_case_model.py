@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rosterstat.bayes import EvidenceItem
 from rosterstat.case import (
+    MAX_COUNT,
     VARIANTS,
     CaseFile,
     CaseValidationError,
@@ -178,6 +179,33 @@ class TestRoundTrip:
 
 
 class TestWardRoster:
+    AT_THE_BOUND = dict(total_shifts=2**53, suspect_shifts=2**52, total_incidents=2**52,
+                        suspect_incidents=2**51, nurse_count=2**53)
+
+    def test_counts_at_2_53_accepted(self):
+        assert MAX_COUNT == 2**53
+        WardRoster("W", **self.AT_THE_BOUND)
+
+    @pytest.mark.parametrize("key", ["total_shifts", "suspect_shifts", "total_incidents",
+                                     "suspect_incidents", "nurse_count"])
+    @pytest.mark.parametrize("value", [2**53 + 1, 10**400])
+    def test_counts_past_2_53_rejected(self, key, value):
+        with pytest.raises(CaseValidationError) as raised:
+            WardRoster("W", **dict(self.AT_THE_BOUND, **{key: value}))
+        assert str(raised.value) == f"W: {key} must be at most 2**53"
+
+    def test_case_file_count_past_2_53_rejected(self):
+        doc = json.loads(json.dumps(VALID_DOC))
+        doc["wards"][1]["total_shifts"] = 10**400
+        with pytest.raises(CaseValidationError) as raised:
+            parse_case(json.dumps(doc))
+        assert str(raised.value) == "RKZ-41: total_shifts must be at most 2**53"
+
+    def test_pool_past_2_53_rejected(self):
+        wards = (WardRoster("A", 2**53, 1, 1, 1), WardRoster("B", 1, 0, 0, 0))
+        with pytest.raises(CaseValidationError, match=r"^A\+B: total_shifts must be at most"):
+            pool_wards(CaseFile("c", "s", wards), ["A", "B"])
+
     def test_rejects_incidents_beyond_other_shifts(self):
         with pytest.raises(CaseValidationError, match="other nurses"):
             WardRoster("w", total_shifts=10, suspect_shifts=8,

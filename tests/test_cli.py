@@ -229,9 +229,20 @@ class TestAnalyze:
         assert err.startswith("rosterstat: no ward named")
 
     def test_unknown_ward_nonzero(self, capsys):
-        code, _, err = run(capsys, "analyze", "--builtin", "corrected",
-                           "--method", "pooled", "--wards", "nope")
-        assert code == 2
+        code, out, err = run(capsys, "analyze", "--builtin", "corrected",
+                             "--method", "pooled", "--wards", "nope")
+        assert (code, out) == (2, "")
+        assert err == "rosterstat: no ward named 'nope' in case 'Lucia de B.'\n"
+
+    @pytest.mark.parametrize("key", ["total_shifts", "nurse_count"])
+    def test_count_past_2_53_exits_2(self, tmp_path, capsys, key):
+        doc = json.loads(serialize_case(builtin_paper_case("corrected")))
+        doc["wards"][0][key] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--case", str(path), "--method", "per-ward")
+        assert (code, out) == (2, "")
+        assert err == f"rosterstat: JKZ: {key} must be at most 2**53\n"
 
     @pytest.mark.parametrize("argv", [["--method", "bayes"],
                                       ["--method", "elffers", "--jkz-multiplier", "27"]])
@@ -250,12 +261,13 @@ class TestAnalyze:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs rosterstat.cli.main on the given arguments in a fresh interpreter,
-# then fails (exit 1) if numpy was loaded along the way.
+# then fails (exit 1) if numpy or fractions was loaded along the way.
 NUMPY_GUARD = """
 import sys
 import rosterstat.cli
 code = rosterstat.cli.main(sys.argv[1:])
 assert "numpy" not in sys.modules, "numpy was imported"
+assert "fractions" not in sys.modules, "fractions was imported"
 sys.exit(code)
 """
 
@@ -267,7 +279,11 @@ def run_fresh(script, *argv):
 
 
 class TestNumpyStaysOut:
-    """Only convolved and relative-risk need numpy; nothing else loads it."""
+    """Only convolved and relative-risk need numpy; nothing else loads it.
+
+    No CLI run loads fractions: the exact methods keep their ratios as
+    integer pairs.
+    """
 
     @pytest.mark.parametrize("method", [
         "elffers", "per-ward", "bonferroni", "pooled", "fisher",
@@ -289,7 +305,8 @@ class TestNumpyStaysOut:
         assert done.stderr == "rosterstat: case file: evidence must be an array, got 5\n"
 
     def test_bare_import(self):
-        done = run_fresh("import sys, rosterstat; assert 'numpy' not in sys.modules")
+        done = run_fresh("import sys, rosterstat; "
+                         "assert 'numpy' not in sys.modules and 'fractions' not in sys.modules")
         assert done.returncode == 0, done.stderr
 
     def test_risk_sim_names_still_resolve(self):

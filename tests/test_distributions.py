@@ -3,12 +3,16 @@
 The oracles here never share code with the implementation: binomial and
 hypergeometric values come from big-integer fractions, the Poisson pmf
 from mpmath, and the chi-squared survival function from numerical
-quadrature of the density.
+quadrature of the density. The last class keeps the kernels' earlier
+expressions, with int operands inside each term, as a bit-for-bit oracle
+for the float-operand kernels.
 """
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -19,6 +23,7 @@ from scipy.integrate import quad
 
 from rosterstat.case import CaseFile, WardRoster
 
+from rosterstat import distributions
 from rosterstat.distributions import (
     ConsistencyError,
     DiscreteDist,
@@ -383,3 +388,96 @@ class TestKernelProperties:
         names = [f"W{i}" for i in range(len(wards))]
         n, r, k, x = (sum(column) for column in zip(*wards))
         assert pooled_test(case_of(wards), names).p_value == hypergeom_tail(n, r, k, x)
+
+
+def former_from_log_ratios(support_min, log_ratios):
+    mode = sum(1 for v in log_ratios if v > 0)
+    below = [-v for v in accumulate(reversed(log_ratios[:mode]))]
+    below.reverse()
+    probs = [math.exp(v) for v in (*below, 0.0, *accumulate(log_ratios[mode:]))]
+    total = math.fsum(probs)
+    return DiscreteDist(support_min, [p / total for p in probs])
+
+
+def former_hypergeom_dist(n, r, k):
+    lo = max(0, k - (n - r))
+    return former_from_log_ratios(lo, [
+        math.log((r - x) * (k - x) / ((x + 1) * (n - r - k + x + 1)))
+        for x in map(float, range(lo, min(r, k)))
+    ])
+
+
+def former_binomial_vector(trials, success_prob):
+    log_odds = math.log(success_prob) - math.log1p(-success_prob)
+    return former_from_log_ratios(0, [
+        math.log((trials - x) / (x + 1)) + log_odds for x in map(float, range(trials))
+    ])
+
+
+FROM_LOG_RATIOS = distributions._from_log_ratios
+
+
+def binomial_vector(trials, success_prob):
+    """The pmf vector binomial_tail builds, caught on its way to the tail."""
+    built = []
+
+    def keep(*args):
+        built.append(FROM_LOG_RATIOS(*args))
+        return built[-1]
+
+    with mock.patch.object(distributions, "_from_log_ratios", keep):
+        binomial_tail(trials, success_prob, 0)
+    [dist] = built
+    return dist
+
+
+def outcome(dist_of, *args):
+    """A pmf vector's support start and bytes, or the exception it raised."""
+    try:
+        dist = dist_of(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return dist.support_min, dist.probabilities.tobytes()
+
+
+@st.composite
+def wide_rosters(draw):
+    """(n, r, k), n up to 2**53 and past it, whose support has at most 200 points.
+
+    The support has min(r, k, n - r, n - k) + 1 points at most, so one of
+    k and n - k is kept small while r ranges over all of [0, n].
+    """
+    n = draw(st.integers(1, 2**53) | st.integers(2**53, 2**80))
+    r = draw(st.integers(0, n))
+    small = draw(st.integers(0, min(n, 200)))
+    k = n - small if draw(st.booleans()) else small
+    return n, r, k
+
+
+class TestFloatOperandKernels:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(wide_rosters() | rosters(max_shifts=400).map(lambda roster: roster[:3]))
+    def test_hypergeom_vector_is_bit_identical(self, roster):
+        assert outcome(hypergeom_dist, *roster) == outcome(former_hypergeom_dist, *roster)
+
+    @pytest.mark.parametrize("roster", [
+        (10**400, 0, 0), (10**400, 10**400, 5), (10**400, 5, 10**400), (10**400, 1, 1),
+        (10**400, 10**400 - 5, 3), (2**53 + 1, 2**52, 7), (2**1100, 2**1099, 2),
+    ])
+    def test_unbounded_counts_match_the_former_kernel(self, roster):
+        assert outcome(hypergeom_dist, *roster) == outcome(former_hypergeom_dist, *roster)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 600),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from(
+               [5e-324, 0.5, 1.0 - 2**-53, 61 / 675]),
+           st.integers(-2, 602))
+    def test_binomial_vector_is_bit_identical(self, trials, p, x_min):
+        assert outcome(binomial_vector, trials, p) == outcome(former_binomial_vector, trials, p)
+        assert binomial_tail(trials, p, x_min).hex() == (
+            former_binomial_vector(trials, p).tail(x_min).hex())
+
+    def test_binomial_with_unbounded_trials_raises_as_before(self):
+        assert outcome(binomial_vector, 10**400, 0.5)[0] is OverflowError
+        assert outcome(binomial_vector, 10**400, 0.5) == (
+            outcome(former_binomial_vector, 10**400, 0.5))

@@ -3,9 +3,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rosterstat.case import builtin_paper_case
+from rosterstat.case import CaseFile, WardRoster, builtin_paper_case
+from rosterstat.distributions import binomial_tail
 from rosterstat.poisson_model import (
+    NEUTRAL,
     FAVORS_DEFENCE,
     FAVORS_PROSECUTION,
     IntensityEstimate,
@@ -185,3 +189,99 @@ class TestIntensityTypes:
     def test_observed_rate_rejects_zero_incidents(self):
         with pytest.raises(ValueError):
             observed_rate(0, 61)
+
+
+def former_lr(mu, mu_L, r_j, k_j):
+    """lr_poisson as first written, in Fraction arithmetic."""
+    if isinstance(mu, IntensityEstimate):
+        mu_exact = (Fraction(mu.mu) if mu.basis == "fixed"
+                    else Fraction(mu.numerator, mu.denominator))
+    else:
+        mu_exact = Fraction(mu)
+    mu_L_exact = (Fraction(mu_L.numerator, mu_L.denominator)
+                  if isinstance(mu_L, SuspectIntensity) else Fraction(mu_L))
+    if mu_exact <= 0:
+        raise ValueError("background intensity must be positive")
+    if mu_L_exact <= 0:
+        raise ValueError("suspect intensity must be positive" if k_j == 0
+                         else "k_j > 0 with zero suspect intensity")
+    log_lr = float((mu_exact - mu_L_exact) * r_j) + k_j * (
+        math.log(mu_L_exact) - math.log(mu_exact)
+    )
+    value = math.exp(log_lr)
+    if mu_exact == mu_L_exact:
+        value = 1.0
+    direction = NEUTRAL if value == 1.0 else (
+        FAVORS_PROSECUTION if value > 1.0 else FAVORS_DEFENCE
+    )
+    return value.hex(), verbal_scale(value), direction
+
+
+def lr_outcome(lr_of, *args):
+    """The ratio's bits, band and direction, or the exception raised."""
+    try:
+        result = lr_of(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return result
+    return result.value.hex(), result.verbal, result.direction
+
+
+COUNTS = st.integers(1, 2**64)
+ESTIMATES = (
+    st.builds(lambda a, b, basis: IntensityEstimate(a / b, basis, a, b), COUNTS, COUNTS,
+              st.sampled_from(["exclude_suspect", "include_suspect"]))
+    | st.builds(lambda mu: IntensityEstimate(mu, "fixed"),
+                st.floats(5e-324, 1e300) | st.integers(1, 10**6))
+    | st.floats(5e-324, 1e300) | st.integers(-3, 10**6) | st.just(0.0) | st.just(-0.5)
+)
+SUSPECT = (
+    st.builds(lambda a, b: SuspectIntensity(a / b, "observed_rate", a, b), COUNTS, COUNTS)
+    | st.floats(5e-324, 1e300) | st.integers(-3, 10**6) | st.just(0.0)
+)
+
+
+def same_intensity(pair):
+    """mu and mu_L equal as rationals, written with different numbers."""
+    a, b, scale = pair
+    return (IntensityEstimate(a / b, "include_suspect", a * scale, b * scale),
+            SuspectIntensity(a / b, "observed_rate", a, b))
+
+
+class TestIntegerRatioArithmetic:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(ESTIMATES, SUSPECT, st.integers(1, 10**9), st.integers(0, 10**6))
+    def test_lr_poisson_is_bit_identical(self, mu, mu_L, r_j, k_j):
+        assert lr_outcome(lr_poisson, mu, mu_L, r_j, k_j) == (
+            lr_outcome(former_lr, mu, mu_L, r_j, k_j))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.tuples(COUNTS, COUNTS, st.integers(1, 1000)).map(same_intensity),
+           st.integers(1, 10**9), st.integers(0, 10**6))
+    def test_equal_intensities_are_bit_identical(self, intensities, r_j, k_j):
+        mu, mu_L = intensities
+        for args in [(mu, mu_L), (mu, mu_L.mu_L), (mu.mu, mu_L), (mu_L.mu_L, mu_L.mu_L),
+                     (IntensityEstimate(mu.mu, "fixed"), mu_L.mu_L)]:
+            got = lr_outcome(lr_poisson, *args, r_j, k_j)
+            assert got == lr_outcome(former_lr, *args, r_j, k_j)
+        assert lr_poisson(mu, mu_L, r_j, k_j).direction == NEUTRAL
+
+    def test_paper_ratios_are_bit_identical(self, case):
+        mu_L = observed_rate(6, 61)
+        for basis in ("exclude_suspect", "include_suspect"):
+            mu = estimate_mu(case, basis, RKZ)
+            assert lr_outcome(lr_poisson, mu, mu_L, 61, 6) == (
+                lr_outcome(former_lr, mu, mu_L, 61, 6))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 2**53).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n), st.integers(0, min(n, 400)))))
+    def test_conditional_binomial_note_spells_the_reduced_fraction(self, counts):
+        n, r, k = counts
+        x = max(0, k - (n - r))
+        case = CaseFile("t", "s", (WardRoster("A", n, r, k, x),))
+        result = conditional_binomial_test(case, ["A"])
+        p = Fraction(r, n)
+        assert result.notes.startswith(f"Binomial({k}, {p}) tail at {x}, ")
+        assert result.p_value.hex() == binomial_tail(k, float(p), x).hex()

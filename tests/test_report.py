@@ -9,7 +9,9 @@ its fields, then ``json.dumps(indent=2, allow_nan=False)``.
 
 import json
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from enum import IntEnum
 from fractions import Fraction
 from typing import Any
 
@@ -187,6 +189,29 @@ class Empty:
     pass
 
 
+@dataclass(frozen=True)
+class Defaults:
+    note: str = "class default"
+    level: int = 3
+
+
+class Text(str):
+    pass
+
+
+class Real(float):
+    def __repr__(self):
+        return f"Real({float.__repr__(self)})"
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+Pair = namedtuple("Pair", "left right")
+
+
 def _simulation_reports():
     configs = st.builds(SimulationConfig, nurse_count=st.integers(2, 10**6),
                         shifts_per_nurse=st.integers(1, 10**4),
@@ -202,6 +227,9 @@ JSON_LEAVES = (
     st.text() | st.integers(-(2**200), 2**200) | st.booleans() | st.none()
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.inf])
+    | st.text().map(Text) | st.floats(allow_nan=False, allow_infinity=False).map(Real)
+    | st.sampled_from([Real(math.inf), Level.LOW, Level.HIGH])
+    | st.sampled_from([Empty, Defaults])
     | st.builds(Empty) | _simulation_reports()
     | st.builds(OddsState, prior_odds=st.floats(1e-300, 1e290),
                 applied=st.lists(st.builds(EvidenceItem, label=st.text(),
@@ -211,7 +239,9 @@ JSON_LEAVES = (
 JSON_TREES = st.recursive(
     JSON_LEAVES,
     lambda children: (st.lists(children) | st.lists(children).map(tuple)
-                      | st.dictionaries(st.text(), children) | st.builds(Box, children)),
+                      | st.dictionaries(st.text(), children) | st.builds(Box, children)
+                      | st.builds(Pair, children, children)
+                      | st.dictionaries(st.text(), children).map(OrderedDict)),
     max_leaves=40,
 )
 
@@ -221,14 +251,51 @@ JSON_TREES = st.recursive(
 @example({"caf\u00e9 \U0001f600": ["\x00\x1f\"\\/\u2028", "", -0.0, 5e-324, 2**70],
           "nested": {"empty list": [], "empty dict": {}, "empty tuple": (),
                      "empty dataclass": Empty(), "inf": math.inf}})
+@example([[[]], [{}], ((),), {"a": {"b": []}}, Box([]), Box({}), [Empty()], Pair([], {}),
+          OrderedDict(), [Text(""), Real(-0.0), Real(math.inf), Level.HIGH], Defaults, Empty])
 def test_strict_json_writes_the_bytes_json_dumps_writes(doc):
     assert strict_json(doc) == _reference_strict_json(doc)
+
+
+def _outcome(render, doc):
+    """The text rendered, or the type and message of the error raised."""
+    try:
+        return render(doc)
+    except (ValueError, TypeError, AttributeError) as exc:
+        return type(exc), str(exc)
 
 
 def _oracle_error(doc):
     with pytest.raises((ValueError, TypeError)) as expected:
         _reference_strict_json(doc)
     return expected.type, str(expected.value)
+
+
+OUT_OF_RANGE = st.sampled_from([math.nan, -math.inf, Real(math.nan), Real(-math.inf)])
+HOLDS_OUT_OF_RANGE = (
+    st.tuples(st.lists(JSON_LEAVES, max_size=3), OUT_OF_RANGE,
+              st.lists(JSON_LEAVES, max_size=3)).map(lambda t: [*t[0], t[1], *t[2]])
+    | OUT_OF_RANGE.map(lambda bad: (1.5, bad))
+    | st.tuples(st.dictionaries(st.text(), JSON_LEAVES, max_size=3), OUT_OF_RANGE).map(
+        lambda t: {**t[0], "\x00bad": t[1]})
+    | st.builds(Box, OUT_OF_RANGE) | st.builds(lambda bad: Box("ok", bad), OUT_OF_RANGE)
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(JSON_TREES, HOLDS_OUT_OF_RANGE, JSON_TREES)
+def test_out_of_range_children_raise_as_json_does(before, holder, after):
+    doc = {"before": before, "holder": [holder], "after": after}
+    expected = _outcome(_reference_strict_json, doc)
+    assert expected[0] is ValueError
+    assert _outcome(strict_json, doc) == expected
+
+
+def test_dataclass_class_without_defaults_raises_as_json_does():
+    doc = {"classes": [Defaults, Box]}
+    expected = _outcome(_reference_strict_json, doc)
+    assert expected[0] is AttributeError
+    assert _outcome(strict_json, doc) == expected
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf, Fraction(1, 3), {1, 2}],
