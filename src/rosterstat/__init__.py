@@ -38,7 +38,7 @@ from rosterstat.distributions import (
     hypergeom_dist,
     hypergeom_pmf,
     hypergeom_tail,
-    poisson_pmf,
+    poisson_dist,
 )
 from rosterstat.frequentist import (
     TestResult,
@@ -118,7 +118,7 @@ __all__ = [
     "observed_threshold",
     "odds_from_probability",
     "parse_case",
-    "poisson_pmf",
+    "poisson_dist",
     "pool_wards",
     "pooled_test",
     "posterior_probability",

@@ -160,6 +160,9 @@ def parse_case(text: str | bytes) -> CaseFile:
         if "name" not in entry:
             raise CaseValidationError(f"ward #{i}: missing key 'name'")
         name = _require(entry, "name", f"ward #{i}", str, "a string")
+        if not name or "," in name or name != name.strip():  # --wards splits on "," and strips
+            raise CaseValidationError(f"ward #{i}: name must be nonempty, without commas "
+                                      f"or outer whitespace, got {name!r}")
         for key in _COUNT_KEYS:
             if key not in entry:
                 raise CaseValidationError(f"{name}: missing key {key!r}")

@@ -8,6 +8,7 @@ exits nonzero if any row misses its tolerance.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -106,14 +107,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "analyze":
-            return _analyze(args)
-        return _reproduce(args)
+        code = _analyze(args) if args.command == "analyze" else _reproduce(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
     except (CaseValidationError, ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
         print(f"rosterstat: {message}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left (say, `| head`): the final flush must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

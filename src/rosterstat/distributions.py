@@ -1,16 +1,16 @@
 """Exact discrete-distribution kernels.
 
-Each hypergeometric and binomial pmf is built once, as a whole vector, from
-the logs of its successive term ratios p(x+1)/p(x), cumulated out from the
-mode (the term-ratio recurrence discussed by Loader, "Fast and accurate
-computation of binomial probabilities", 2000). No binomial coefficient is
-ever formed, so counts like C(1029, 142) never overflow. A tail is the
-exactly rounded ``math.fsum`` of a slice of that vector. The vectors are
-plain ``array('d')`` buffers built with ``math`` and ``itertools``, so the
-exact methods never load numpy; only ``convolve``, the sum of independent
-counts, imports it, for one ``np.convolve`` chain over their vectors. Each
-kernel converts its integer counts to floats once per call, which gives
-the same terms as int operands would, bit for bit.
+Each hypergeometric, binomial and Poisson pmf is built once, as a whole
+vector, from the logs of its successive term ratios p(x+1)/p(x), cumulated
+out from the mode (the term-ratio recurrence discussed by Loader, "Fast and
+accurate computation of binomial probabilities", 2000). No binomial
+coefficient is ever formed, so counts like C(1029, 142) never overflow. A
+tail is the exactly rounded ``math.fsum`` of a slice of that vector. The
+vectors are plain ``array('d')`` buffers built with ``math`` and
+``itertools``, so the exact methods never load numpy; only ``convolve``,
+the sum of independent counts, imports it, for one ``np.convolve`` chain
+over their vectors. Each kernel converts its integer counts to floats once
+per call, which gives the same terms as int operands would, bit for bit.
 Probabilities that land within 1e-12 of [0, 1] are clamped to the
 boundary; anything further out raises, because a larger excursion means a
 bug rather than rounding.
@@ -153,15 +153,20 @@ def convolve(*dists: DiscreteDist) -> DiscreteDist:
     return DiscreteDist(sum(d.support_min for d in dists), probs.tolist())
 
 
-def poisson_pmf(mean: float, k: int) -> float:
-    """P(X = k) for X ~ Poisson(mean)."""
-    if mean < 0:
-        raise ValueError(f"mean must be non-negative, got {mean!r}")
-    if k < 0:
-        return 0.0
+def poisson_dist(mean: float) -> DiscreteDist:
+    """X ~ Poisson(mean) over the counts mean +- (40 * sqrt(mean) + 800), from 0.
+
+    Every count outside that window has a scaled term that underflows to 0.0.
+    """
+    if not (0.0 <= mean < math.inf):
+        raise ValueError(f"mean must be non-negative and finite, got {mean!r}")
     if mean == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return _clamp_probability(math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1)))
+        return DiscreteDist(0, [1.0])
+    half_width = 40.0 * math.sqrt(mean) + 800.0
+    counts = range(max(0, math.floor(mean - half_width)), math.ceil(mean + half_width))
+    log_mean = math.log(mean)
+    return _from_log_ratios(counts.start, [log_mean - math.log(x + 1.0)
+                                           for x in map(float, counts)])
 
 
 def chi2_survival_even(x: float, dof: int) -> float:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from rosterstat.case import JKZ, CaseFile, WardRoster, pool_wards
+from rosterstat.case import JKZ, CaseFile, WardRoster, named_wards, pool_wards
 from rosterstat.distributions import (
     chi2_survival_even,
     convolve,
@@ -133,9 +133,7 @@ def convolved_sum_test(case: CaseFile, names: Sequence[str]) -> TestResult:
     Keeps each ward's own incident rate (unlike pooling) and asks for the
     probability that the total over wards reaches the suspect's total.
     """
-    if not names:
-        raise ValueError("convolved_sum_test needs at least one ward name")
-    rosters = [case.ward(name) for name in names]
+    rosters = named_wards(case, list(names))
     s_min = sum(w.suspect_incidents for w in rosters)
     dists = [
         hypergeom_dist(w.total_shifts, w.suspect_shifts, w.total_incidents)

@@ -4,7 +4,9 @@ The question: among I nurses with equal shift counts and a common incident
 intensity, how often does the *largest* relative risk reach the suspect's
 observed value? Replicates draw each nurse's count from a Poisson; with
 equal shifts the maximum relative risk belongs to the nurse with the most
-incidents, so only the maximum and the total matter.
+incidents, so only the maximum and the total matter. A count is a uniform
+inverted through the running sum of the poisson_dist vector, the pmf that
+the exact oracle exact_max_rr_tail reads too.
 
 Randomness is counter-based (Philox keyed by the master seed); replicate i
 consumes a fixed, padded slice of the uniform stream, so any partition of
@@ -28,13 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from rosterstat.case import CaseFile, pool_wards
-from rosterstat.distributions import poisson_pmf
+from rosterstat.distributions import poisson_dist
 from rosterstat.poisson_model import estimate_mu
 
 logger = logging.getLogger(__name__)
 
 _BLOCK_BYTES = 2 << 20  # float64 uniforms plus int64 counts per block
-_CDF_TOL = 1e-15  # target tail mass left out of the Poisson inversion table
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,9 @@ class SimulationConfig:
             raise ValueError(f"shifts_per_nurse must be >= 1, got {self.shifts_per_nurse}")
         if not (self.mu > 0 and math.isfinite(self.mu)):
             raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
+        mean = self.mu * self.shifts_per_nurse
+        if mean > 1e6:  # the table spans 80 * sqrt(mean) + 1,600 counts: 0.2 s at 10**6
+            raise ValueError(f"per-nurse Poisson mean {mean!r} is above 10**6")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not (0 <= self.seed < 2**64):
@@ -100,27 +104,16 @@ class SimulationReport:
     degenerate_count: int  # replicates with zero incidents in total
 
 
-def _poisson_inversion_table(mean: float) -> np.ndarray:
-    """CDF table for inverting uniforms into Poisson draws.
+def _poisson_inversion_table(mean: float) -> tuple[int, np.ndarray]:
+    """First count and CDF table for inverting uniforms into Poisson draws.
 
-    Terms are added until the tail left out is below _CDF_TOL or, past the
-    mean, until the next term no longer changes the float sum, which can
-    stall just short of 1 - _CDF_TOL.
+    The table is the running sum of the poisson_dist vector, cut at its
+    first entry equal to the full sum; a uniform at or past that entry maps
+    to the count just after it.
     """
-    cdf = []
-    total = 0.0
-    k = 0
-    while total < 1.0 - _CDF_TOL:
-        term = poisson_pmf(mean, k)
-        if k > mean and total + term == total:
-            break
-        total += term
-        cdf.append(total)
-        k += 1
-        if k > 10_000:
-            raise ValueError(f"per-nurse Poisson mean {mean!r} needs an inversion "
-                             "table of over 10,000 entries")
-    return np.array(cdf)
+    dist = poisson_dist(mean)
+    cdf = np.cumsum(dist.probabilities)
+    return dist.support_min, cdf[: np.searchsorted(cdf, cdf[-1]) + 1]
 
 
 def _exceeds(max_counts: np.ndarray, totals: np.ndarray, I: int,
@@ -142,8 +135,8 @@ def _exceeds(max_counts: np.ndarray, totals: np.ndarray, I: int,
     return exceed
 
 
-def _simulate_range(cfg: SimulationConfig, threshold: float, cdf: np.ndarray,
-                    start: int, stop: int, stride: int,
+def _simulate_range(cfg: SimulationConfig, threshold: float, first: int,
+                    cdf: np.ndarray, start: int, stop: int, stride: int,
                     rows: int) -> tuple[int, int]:
     """Exceed/degenerate counts for replicates [start, stop).
 
@@ -152,7 +145,8 @@ def _simulate_range(cfg: SimulationConfig, threshold: float, cdf: np.ndarray,
     each thread holds about max(budget, one replicate).
     One generator is advanced to the range's first replicate; stride is a
     multiple of 4, so each block leaves it at the next replicate's offset
-    and the counts do not depend on the block size.
+    and the counts do not depend on the block size. The table's first count
+    is added to each maximum and total.
     """
     exceed = 0
     degenerate = 0
@@ -163,8 +157,8 @@ def _simulate_range(cfg: SimulationConfig, threshold: float, cdf: np.ndarray,
         hi = min(lo + rows, stop)
         uniforms = gen.random((hi - lo, stride))
         counts = np.searchsorted(cdf, uniforms[:, : cfg.nurse_count], side="right")
-        totals = counts.sum(axis=1)
-        max_counts = counts.max(axis=1)
+        totals = counts.sum(axis=1) + first * cfg.nurse_count
+        max_counts = counts.max(axis=1) + first
         flags = _exceeds(max_counts, totals, cfg.nurse_count, threshold)
         exceed += int(flags.sum())
         degenerate += int((totals == 0).sum())
@@ -183,8 +177,7 @@ def simulate_max_rr(cfg: SimulationConfig, threshold: float,
         raise ValueError(f"threshold must be non-negative, got {threshold!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    mean = cfg.mu * cfg.shifts_per_nurse
-    cdf = _poisson_inversion_table(mean)
+    first, cdf = _poisson_inversion_table(cfg.mu * cfg.shifts_per_nurse)
     # pad each replicate's uniform block to a whole number of Philox blocks
     stride = 4 * math.ceil(cfg.nurse_count / 4)
     # a replicate larger than the budget is simulated alone
@@ -194,12 +187,9 @@ def simulate_max_rr(cfg: SimulationConfig, threshold: float,
     ranges = [(cfg.replicates * i // threads, cfg.replicates * (i + 1) // threads)
               for i in range(threads)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(
-            pool.map(lambda ab: _simulate_range(cfg, threshold, cdf, *ab, stride, rows),
-                     ranges)
-        )
-    exceed = sum(r[0] for r in results)
-    degenerate = sum(r[1] for r in results)
+        results = list(pool.map(lambda ab: _simulate_range(
+            cfg, threshold, first, cdf, *ab, stride, rows), ranges))
+    exceed, degenerate = map(sum, zip(*results))
     p = exceed / cfg.replicates
     return SimulationReport(
         config=cfg,
@@ -222,9 +212,10 @@ def exact_max_rr_tail(I: int, r: int, mu: float, threshold: float,
         raise ValueError(f"exact enumeration supports 2 <= I <= 4, got {I}")
     if threshold < 0:
         raise ValueError(f"threshold must be non-negative, got {threshold!r}")
-    mean = mu * r
-    pmf = np.array([poisson_pmf(mean, k) for k in range(count_cap + 1)])
-    truncated = 1.0 - math.fsum(pmf.tolist())
+    dist = poisson_dist(mu * r)
+    lo, probs = dist.support_min, dist.probabilities
+    pmf = [probs[k - lo] if 0 <= k - lo < len(probs) else 0.0 for k in range(count_cap + 1)]
+    truncated = 1.0 - math.fsum(pmf)
     if truncated >= 1e-10:
         raise ValueError(
             f"count_cap={count_cap} leaves Poisson mass {truncated:.3e} >= 1e-10"

@@ -106,6 +106,13 @@ class TestParseCase:
         assert [e.lr for e in case.evidence] == [0.5, 50.0]
         assert case.evidence[0].provenance == "expert"
 
+    @pytest.mark.parametrize("name", ["", "A,1", " B", "B ", "\tC", "D\n"])
+    def test_name_the_wards_flag_cannot_select_rejected(self, name):
+        doc = json.loads(json.dumps(VALID_DOC))
+        doc["wards"][1]["name"] = name
+        with pytest.raises(CaseValidationError, match="^ward #1: name must be nonempty"):
+            parse_case(json.dumps(doc))
+
     @pytest.mark.parametrize("path, value, message", [
         (("wards",), 5, "case file: wards must be an array"),
         (("evidence",), 5, "case file: evidence must be an array"),
@@ -152,7 +159,10 @@ evidence_items = st.builds(
 
 @st.composite
 def case_files(draw):
-    names = draw(st.lists(st.text(max_size=10), min_size=1, max_size=4, unique=True))
+    # the ward names parse_case accepts: nonempty, no comma, no outer whitespace
+    selectable = st.text(min_size=1, max_size=10).filter(
+        lambda name: "," not in name and name == name.strip())
+    names = draw(st.lists(selectable, min_size=1, max_size=4, unique=True))
     return CaseFile(
         case_name=draw(st.text(max_size=20)),
         suspect=draw(st.text(max_size=20)),

@@ -188,13 +188,23 @@ class TestAnalyze:
         p_value = json.loads(out)["results"][1]["SimulationReport"]["p_value"]
         assert math.isfinite(p_value)
 
-    def test_relative_risk_mean_past_the_table_limit_exits_2(self, tmp_path, capsys):
-        # per-nurse mean 0.5 x 40,000 = 20,000
+    def test_relative_risk_at_a_large_mean(self, tmp_path, capsys):
+        # per-nurse mean 0.5 x 40,000 = 20,000, past the former 10,000-term table
         path = self._one_ward_case(tmp_path, 100_000, 40_000, 50_000, 20_000)
+        code, out, _ = run(capsys, "analyze", "--case", path, "--method",
+                           "relative-risk", "--replicates", "100", "--output", "machine")
+        assert code == 0
+        sim = json.loads(out)["results"][1]["SimulationReport"]
+        assert sim["config"]["mu"] * sim["config"]["shifts_per_nurse"] == 20_000
+        assert 0.0 <= sim["p_value"] <= 1.0
+
+    def test_relative_risk_mean_over_the_bound_exits_2(self, tmp_path, capsys):
+        # per-nurse mean 0.5 x 4,000,000 = 2,000,000, over the 10**6 input bound
+        path = self._one_ward_case(tmp_path, 10**7, 4 * 10**6, 5 * 10**6, 2 * 10**6)
         code, out, err = run(capsys, "analyze", "--case", path, "--method",
                              "relative-risk", "--replicates", "100")
         assert (code, out) == (2, "")
-        assert err.startswith("rosterstat: per-nurse Poisson mean 20000")
+        assert err == "rosterstat: per-nurse Poisson mean 2000000.0 is above 10**6\n"
 
     def test_nurse_count_over_the_block_budget_still_runs(self, tmp_path, capsys):
         # I = n/r = 300,000: one replicate alone needs about 4.8 MB
@@ -221,6 +231,19 @@ class TestAnalyze:
                              "--method", method, "--wards", "RKZ-42,RKZ-42")
         assert (code, out) == (2, "")
         assert err.startswith("rosterstat: ") and "'RKZ-42'" in err
+
+    @pytest.mark.parametrize("name", ["A,1", " B"])
+    def test_ward_name_the_wards_flag_cannot_select_exits_2(self, tmp_path, capsys,
+                                                            name):
+        doc = json.loads(serialize_case(builtin_paper_case("corrected")))
+        doc["wards"][2]["name"] = name
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--case", str(path), "--method",
+                             "per-ward", "--wards", name)
+        assert (code, out) == (2, "")
+        assert err == (f"rosterstat: ward #2: name must be nonempty, without commas "
+                       f"or outer whitespace, got {name!r}\n")
 
     def test_empty_ward_list_exits_2(self, capsys):
         code, out, err = run(capsys, "analyze", "--builtin", "corrected",
@@ -276,6 +299,22 @@ def run_fresh(script, *argv):
     return subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+
+
+def test_closed_stdout_exits_1_quietly():
+    # the pipe's read end is closed before the child writes, as when
+    # `rosterstat ... | head` has already exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "rosterstat.cli", "analyze", "--builtin", "corrected",
+             "--method", "pooled"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 class TestNumpyStaysOut:

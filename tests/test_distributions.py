@@ -33,7 +33,7 @@ from rosterstat.distributions import (
     hypergeom_dist,
     hypergeom_pmf,
     hypergeom_tail,
-    poisson_pmf,
+    poisson_dist,
 )
 from rosterstat.frequentist import convolved_sum_test, pooled_test, ward_tail_p
 
@@ -174,23 +174,64 @@ class TestBinomialTail:
             binomial_tail(5, -0.1, 1)
 
 
-class TestPoissonPmf:
+def extended_poisson_vector(dist, mean):
+    """The Poisson kernel's vector over dist's window plus one point each side.
+
+    Built from the same log-ratios as poisson_dist; no point is added below 0.
+    """
+    lo = max(0, dist.support_min - 1)
+    log_mean = math.log(mean)
+    return distributions._from_log_ratios(lo, [
+        log_mean - math.log(x + 1.0) for x in map(float, range(lo, dist.support_max + 1))
+    ])
+
+
+class TestPoissonDist:
     def test_zero_count(self):
         for m in (0.3, 1.7, 9.0):
-            assert poisson_pmf(m, 0) == pytest.approx(math.exp(-m), rel=1e-13, abs=0)
+            dist = poisson_dist(m)
+            assert dist.support_min == 0
+            assert dist.probabilities[0] == pytest.approx(math.exp(-m), rel=1e-13, abs=0)
 
     def test_degenerate_at_zero(self):
-        assert poisson_pmf(0.0, 0) == 1.0
-        assert poisson_pmf(0.0, 3) == 0.0
+        dist = poisson_dist(0.0)
+        assert (dist.support_min, list(dist.probabilities)) == (0, [1.0])
 
-    def test_high_precision_oracle(self):
-        m = 1.2915
-        exact = mpmath.exp(-m) * mpmath.mpf(m) ** 2 / 2
-        assert poisson_pmf(m, 2) == pytest.approx(float(exact), rel=1e-12, abs=0)
+    @pytest.mark.parametrize("mean", [0.01, 0.37, 1.2915, 8.0, 61 * 13 / 614, 50.0,
+                                      500.0, 9000.0])
+    def test_high_precision_oracle(self, mean):
+        dist = poisson_dist(mean)
+        # 40 digits: log k! reaches about 1.2e5 in the widest window here, and its
+        # rounding must stay well below the 1e-11 being checked
+        with mpmath.workdps(40):
+            m = mpmath.mpf(mean)
+            exact = [float(mpmath.exp(-m + k * mpmath.log(m) - mpmath.loggamma(k + 1)))
+                     for k in range(dist.support_min, dist.support_max + 1)]
+        for k, p, want in zip(range(dist.support_min, dist.support_max + 1),
+                              dist.probabilities, exact):
+            # subnormal points carry only their rounding's absolute error
+            assert p == pytest.approx(want, rel=1e-11, abs=1e-320), (mean, k)
 
-    def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_pmf(-0.5, 1)
+    def test_window_clipped_at_zero_and_centred_on_the_mean(self):
+        assert poisson_dist(1000.0).support_min == 0
+        dist = poisson_dist(1e4)
+        assert (dist.support_min, dist.support_max) == (5200, 14800)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.floats(-3.0, 6.0).map(lambda e: 10.0**e))
+    def test_first_point_past_each_end_underflows(self, mean):
+        dist = poisson_dist(mean)
+        wider = extended_poisson_vector(dist, mean)
+        left = dist.support_min - wider.support_min  # 1, or 0 at the support's edge
+        assert wider.probabilities[-1] == 0.0
+        assert wider.probabilities[:left].tolist() == [0.0] * left
+        # the added zeros leave every point of the window bit for bit
+        assert wider.probabilities[left:-1] == dist.probabilities
+
+    @pytest.mark.parametrize("mean", [-0.5, math.inf, math.nan])
+    def test_bad_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            poisson_dist(mean)
 
 
 class TestChi2SurvivalEven:

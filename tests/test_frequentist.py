@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from rosterstat.case import builtin_paper_case
+from rosterstat.case import CaseValidationError, builtin_paper_case
 from rosterstat.frequentist import (
     bonferroni_min,
     convolved_sum_test,
@@ -154,6 +154,15 @@ class TestConvolvedSum:
         case = builtin_paper_case("corrected")
         result = convolved_sum_test(case, ["JKZ", "RKZ-41", "RKZ-42"])
         assert 0.0 < result.p_value < 1.0
+
+    def test_repeated_ward_rejected(self):
+        # convolving one ward with itself would count its incidents twice
+        with pytest.raises(CaseValidationError, match="'RKZ-42' is named more than once"):
+            convolved_sum_test(builtin_paper_case("corrected"), ["RKZ-42", "RKZ-42"])
+
+    def test_empty_ward_list_rejected(self):
+        with pytest.raises(CaseValidationError, match="the ward list is empty"):
+            convolved_sum_test(builtin_paper_case("corrected"), [])
 
 
 class TestFisherCombine:

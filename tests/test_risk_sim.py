@@ -1,11 +1,12 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from rosterstat import risk_sim
 from rosterstat.case import builtin_paper_case
-from rosterstat.distributions import poisson_pmf
+from rosterstat.distributions import poisson_dist
 from rosterstat.risk_sim import (
     SimulationConfig,
     derive_sim_config,
@@ -157,12 +158,16 @@ class TestSimulateMaxRr:
 
 
 def _reference_table(mean):
-    """The inversion table as first written: None where its sum stalls."""
+    """The inversion table as first written, with its own Poisson terms.
+
+    None where its float sum stalls short of 1 - 1e-15 and the loop runs
+    into its 10,000-term guard.
+    """
     cdf = []
     total = 0.0
     k = 0
     while total < 1.0 - 1e-15:
-        total += poisson_pmf(mean, k)
+        total += math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1))
         cdf.append(total)
         k += 1
         if k > 10_000:
@@ -174,18 +179,45 @@ class TestPoissonInversionTable:
     # 0.1 ... 15.0, where the old sum first stalls at 8.0, and some large means
     MEANS = [i / 10 for i in range(1, 151)] + [50.0, 100.0, 500.0, 2000.0, 9000.0]
 
-    def test_table_covers_the_mass_and_keeps_working_tables(self):
+    def test_table_is_monotone_and_covers_the_mass(self):
+        for mean in self.MEANS:
+            _, table = risk_sim._poisson_inversion_table(mean)
+            assert (np.diff(table) >= 0).all(), mean
+            assert table[-1] >= 1.0 - 1e-12, mean
+            # cut at the first entry equal to the full sum
+            assert (table[:-1] < table[-1]).all(), mean
+
+    def test_uniforms_map_to_the_former_loops_counts(self):
+        uniforms = np.random.default_rng(2024).random(100_000)
         stalled = []
         for mean in self.MEANS:
-            table = risk_sim._poisson_inversion_table(mean).tolist()
-            assert all(a <= b for a, b in zip(table, table[1:])), mean
-            assert table[-1] >= 1.0 - 1e-12, mean
             reference = _reference_table(mean)
             if reference is None:
                 stalled.append(mean)
-            else:
-                assert table == reference, mean
+                continue
+            first, table = risk_sim._poisson_inversion_table(mean)
+            got = first + np.searchsorted(table, uniforms, side="right")
+            expected = np.searchsorted(reference, uniforms, side="right")
+            assert (got == expected).all(), mean
         assert {8.0, 9.7, 10.3, 11.2, 12.6} <= set(stalled)
+
+    def test_window_past_zero_offsets_the_counts(self, monkeypatch):
+        # at a mean of 5,000 the window starts at count 1,371, not at 0
+        first, table = risk_sim._poisson_inversion_table(5000.0)
+        assert first == poisson_dist(5000.0).support_min == 1371
+        cfg = SimulationConfig(nurse_count=3, shifts_per_nurse=1000, mu=5.0,
+                               replicates=4000, seed=21)
+        report = simulate_max_rr(cfg, 1.04)
+        assert 0 < report.exceed_count < cfg.replicates
+        # the same table padded with zero mass down to count 0 gives the same draws
+        padded = (0, np.concatenate([np.zeros(first), table]))
+        monkeypatch.setattr(risk_sim, "_poisson_inversion_table", lambda mean: padded)
+        assert simulate_max_rr(cfg, 1.04) == report
+
+    def test_mean_over_the_bound_rejected(self):
+        SimulationConfig(nurse_count=2, shifts_per_nurse=10**6, mu=1.0)
+        with pytest.raises(ValueError, match=r"^per-nurse Poisson mean 1000002.0 is above"):
+            SimulationConfig(nurse_count=2, shifts_per_nurse=10**6 + 2, mu=1.0)
 
 
 class TestExactOracle:
