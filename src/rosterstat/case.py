@@ -5,7 +5,8 @@ A case file is UTF-8 JSON with top-level keys ``case_name``, ``suspect``,
 ``total_shifts``, ``suspect_shifts``, ``total_incidents``,
 ``suspect_incidents`` and optionally ``nurse_count``. An optional top-level
 ``evidence`` array (objects with ``label``, ``lr``, ``provenance``) feeds
-the Bayesian chain. Unknown keys are rejected.
+the Bayesian chain. Unknown keys, and a key repeated in one object, are
+rejected.
 
 The two data variants are first-class: the headline number in the original
 analysis was computed before the RKZ-41 shift count was corrected from 1
@@ -79,7 +80,7 @@ class WardRoster:
 
 @dataclass(frozen=True)
 class CaseFile:
-    """A named collection of ward rosters for one suspect."""
+    """A named collection of ward rosters for one suspect, indexed by ward name."""
 
     case_name: str
     suspect: str
@@ -92,19 +93,21 @@ class CaseFile:
             raise CaseValidationError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}"
             )
-        if not self.wards:
-            raise CaseValidationError("a case needs at least one ward")
-        names = [w.name for w in self.wards]
-        if len(set(names)) != len(names):
-            raise CaseValidationError(f"ward names must be unique, got {names}")
         object.__setattr__(self, "wards", tuple(self.wards))
         object.__setattr__(self, "evidence", tuple(self.evidence))
+        if not self.wards:
+            raise CaseValidationError("a case needs at least one ward")
+        by_name = {w.name: w for w in self.wards}
+        if len(by_name) != len(self.wards):
+            raise CaseValidationError(
+                f"ward names must be unique, got {[w.name for w in self.wards]}")
+        object.__setattr__(self, "_by_name", by_name)
 
     def ward(self, name: str) -> WardRoster:
-        for w in self.wards:
-            if w.name == name:
-                return w
-        raise KeyError(f"no ward named {name!r} in case {self.case_name!r}")
+        w = self._by_name.get(name)
+        if w is None:
+            raise KeyError(f"no ward named {name!r} in case {self.case_name!r}")
+        return w
 
     def default_ward_names(self) -> list[str]:
         """The wards analysed when none are named.
@@ -132,12 +135,28 @@ def _require(obj: dict, key: str, where: str, kinds: type | tuple[type, ...], wh
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice is rejected, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                break
+            seen.add(key)
+        name, label = obj.get("name"), obj.get("label")
+        where = (f"{name}: " if isinstance(name, str) else
+                 f"evidence {label!r}: " if isinstance(label, str) else "")
+        raise CaseValidationError(f"{where}key {key!r} is repeated")
+    return obj
+
+
 def parse_case(text: str | bytes) -> CaseFile:
     """Parse and fully validate a case file."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CaseValidationError(
             f"malformed case file at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -177,9 +196,10 @@ def parse_case(text: str | bytes) -> CaseFile:
         unknown = set(entry) - _EVIDENCE_KEYS
         if unknown:
             raise CaseValidationError(f"evidence #{i}: unknown keys {sorted(unknown)}")
-        if "label" not in entry or "lr" not in entry:
-            raise CaseValidationError(f"evidence #{i}: needs 'label' and 'lr'")
         where = f"evidence #{i}"
+        for key in ("label", "lr"):
+            if key not in entry:
+                raise CaseValidationError(f"{where}: missing key {key!r}")
         entry.setdefault("provenance", "")
         try:
             lr = float(_require(entry, "lr", where, (int, float), "a number"))
@@ -266,9 +286,11 @@ def named_wards(case: CaseFile, names: list[str] | tuple[str, ...]) -> list[Ward
     """
     if not names:
         raise CaseValidationError("no ward named: the ward list is empty")
-    for i, name in enumerate(names):
-        if name in names[:i]:
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
             raise CaseValidationError(f"ward {name!r} is named more than once")
+        seen.add(name)
     return [case.ward(name) for name in names]
 
 

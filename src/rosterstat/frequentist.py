@@ -116,7 +116,7 @@ def bonferroni_min(p_values: Sequence[float], nurse_count: int) -> TestResult:
 
 def pooled_test(case: CaseFile, names: Sequence[str]) -> TestResult:
     """Tail test on the component-wise pooled counts of the named wards."""
-    pool = pool_wards(case, list(names))
+    pool = pool_wards(case, names)
     p = hypergeom_tail(pool.total_shifts, pool.suspect_shifts, pool.total_incidents,
                        pool.suspect_incidents)
     return TestResult(
@@ -133,7 +133,7 @@ def convolved_sum_test(case: CaseFile, names: Sequence[str]) -> TestResult:
     Keeps each ward's own incident rate (unlike pooling) and asks for the
     probability that the total over wards reaches the suspect's total.
     """
-    rosters = named_wards(case, list(names))
+    rosters = named_wards(case, names)
     s_min = sum(w.suspect_incidents for w in rosters)
     dists = [
         hypergeom_dist(w.total_shifts, w.suspect_shifts, w.total_incidents)

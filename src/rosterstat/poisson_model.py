@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from rosterstat.case import CaseFile, pool_wards
 from rosterstat.distributions import binomial_tail
 from rosterstat.frequentist import TestResult
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 MU_BASES = ("exclude_suspect", "include_suspect", "fixed")
 
@@ -67,12 +64,6 @@ class IntensityEstimate:
             return self.mu.as_integer_ratio()
         return self.numerator, self.denominator
 
-    @property
-    def exact(self) -> Fraction:
-        from fractions import Fraction  # only here, so the CLI never imports it
-
-        return Fraction(*self.ratio)
-
 
 @dataclass(frozen=True)
 class SuspectIntensity:
@@ -95,12 +86,6 @@ class SuspectIntensity:
         """mu_L as an exact (numerator, denominator) pair, denominator positive."""
         return self.numerator, self.denominator
 
-    @property
-    def exact(self) -> Fraction:
-        from fractions import Fraction  # only here, so the CLI never imports it
-
-        return Fraction(*self.ratio)
-
 
 def observed_rate(incidents: int, shifts: int) -> SuspectIntensity:
     """mu_L fitted so the suspect's expected count equals her observed count."""
@@ -119,16 +104,14 @@ def observed_rate(incidents: int, shifts: int) -> SuspectIntensity:
 def estimate_mu(
     case: CaseFile,
     basis: str,
-    names: Sequence[str] | None = None,
+    names: Sequence[str],
     fixed_value: float | None = None,
 ) -> IntensityEstimate:
     """Estimate the background intensity over the named wards (pooled).
 
     Bases: 'exclude_suspect' uses the other nurses' incidents and shifts
     (the prosecution's convention); 'include_suspect' uses all of them (the
-    defence's); 'fixed' takes fixed_value verbatim.
-    When names is None the two RKZ wards are pooled if present, matching
-    the published analysis.
+    defence's); 'fixed' takes fixed_value verbatim and reads no ward.
     """
     if basis not in MU_BASES:
         raise ValueError(f"basis must be one of {MU_BASES}, got {basis!r}")
@@ -136,7 +119,7 @@ def estimate_mu(
         if fixed_value is None:
             raise ValueError("basis 'fixed' requires fixed_value")
         return IntensityEstimate(mu=float(fixed_value), basis="fixed")
-    pool = pool_wards(case, names if names is not None else case.default_ward_names())
+    pool = pool_wards(case, names)
     if basis == "include_suspect":
         numerator = pool.total_incidents
         denominator = pool.total_shifts
@@ -172,7 +155,8 @@ def verbal_scale(lr: float) -> str:
     """Verbal band for a likelihood ratio.
 
     Ratios below 1 are described by their reciprocal with the hypothesis
-    labels swapped, so no unlabeled sub-unit ratio is ever emitted.
+    labels swapped, so no unlabeled sub-unit ratio is ever emitted; a
+    subnormal ratio, whose reciprocal overflows to inf, reads in the top band.
     """
     if not lr > 0:
         raise ValueError(f"likelihood ratio must be positive, got {lr!r}")
@@ -184,13 +168,13 @@ def verbal_scale(lr: float) -> str:
         favored, other, magnitude = "H_p", "H_d", lr
     for upper, text in _BANDS:
         if magnitude < upper:
-            return f"{text} under {favored} than under {other}"
-    raise AssertionError("unreachable: band table covers (1, inf)")
+            break
+    return f"{text} under {favored} than under {other}"
 
 
 def lr_poisson(
-    mu: IntensityEstimate | float,
-    mu_L: SuspectIntensity | float,
+    mu: IntensityEstimate,
+    mu_L: SuspectIntensity,
     r_j: int,
     k_j: int,
 ) -> LikelihoodRatio:
@@ -198,20 +182,16 @@ def lr_poisson(
 
     The other nurses' Poisson factors are identical under both hypotheses
     and cancel, leaving only the suspect's term. Computed in log space from
-    the exact ratios mu = a/b and mu_L = c/d: each int true division is
-    correctly rounded, so every float is the one the exact rational rounds to.
+    the exact ratios mu = a/b and mu_L = c/d that ``.ratio`` gives, both
+    positive by construction: each int true division is correctly rounded,
+    so every float is the one the exact rational rounds to.
     """
     if r_j < 1:
         raise ValueError(f"r_j must be >= 1, got {r_j}")
     if k_j < 0:
         raise ValueError(f"k_j must be >= 0, got {k_j}")
-    a, b = mu.ratio if isinstance(mu, IntensityEstimate) else mu.as_integer_ratio()
-    c, d = mu_L.ratio if isinstance(mu_L, SuspectIntensity) else mu_L.as_integer_ratio()
-    if a <= 0:
-        raise ValueError("background intensity must be positive")
-    if c <= 0:
-        raise ValueError("suspect intensity must be positive" if k_j == 0
-                         else "k_j > 0 with zero suspect intensity")
+    a, b = mu.ratio
+    c, d = mu_L.ratio
     log_lr = (a * d - c * b) * r_j / (b * d) + k_j * (math.log(c / d) - math.log(a / b))
     value = math.exp(log_lr)
     if a * d == c * b:
@@ -224,16 +204,16 @@ def lr_poisson(
 
 def conditional_binomial_test(
     case: CaseFile,
-    names: Sequence[str] | None = None,
+    names: Sequence[str],
 ) -> TestResult:
     """Exact test of the suspect's count given the grand total of incidents.
 
-    Conditional on the total N incidents, the suspect's count is
-    Binomial(N, p) with p = mu_L*r_L / (mu_L*r_L + mu*r). Under the null
-    mu_L = mu the intensities cancel and p reduces to r_L / (r_L + r),
-    needing no intensity estimate at all.
+    The named wards are pooled. Conditional on the total N incidents, the
+    suspect's count is Binomial(N, p) with p = mu_L*r_L / (mu_L*r_L + mu*r).
+    Under the null mu_L = mu the intensities cancel and p reduces to
+    r_L / (r_L + r), needing no intensity estimate at all.
     """
-    pool = pool_wards(case, names if names is not None else case.default_ward_names())
+    pool = pool_wards(case, names)
     total = pool.total_incidents
     shifts, all_shifts = pool.suspect_shifts, pool.total_shifts
     tail = binomial_tail(total, shifts / all_shifts, pool.suspect_incidents)

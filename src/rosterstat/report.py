@@ -90,8 +90,8 @@ def _parse_mu_basis(spec: str) -> tuple[str, float | None]:
             return "fixed", value
     elif spec.replace("-", "_") in ("exclude_suspect", "include_suspect"):
         return spec.replace("-", "_"), None
-    raise SystemExit(
-        f"rosterstat: unknown --mu-basis {spec!r}; expected exclude-suspect, "
+    raise ValueError(
+        f"unknown --mu-basis {spec!r}; expected exclude-suspect, "
         "include-suspect or fixed=<finite positive number>"
     )
 
@@ -115,14 +115,14 @@ def run_method(
     mu_basis is 'exclude-suspect', 'include-suspect' or 'fixed=<value>' and
     is parsed only by the methods that read it. The choices the package
     never defaults, a JKZ multiplier for 'elffers' and an evidence array for
-    'bayes', end the program with a message when missing. Every method checks
-    the ward list first, through case.named_wards.
+    'bayes', raise ValueError when missing. Every method checks the ward list
+    first, through case.named_wards.
     """
     wards = named_wards(case, names)
     if method == "elffers":
         if jkz_multiplier is None:
-            raise SystemExit(
-                "rosterstat: --method elffers requires --jkz-multiplier; the "
+            raise ValueError(
+                "--method elffers requires --jkz-multiplier; the "
                 "correction level is a subjective choice and is never defaulted"
             )
         outcome = frequentist.elffers_pipeline(case, jkz_multiplier)
@@ -155,7 +155,7 @@ def run_method(
                  poisson_model.conditional_binomial_test(case, names), {})]
     if method == "bayes":
         if not case.evidence:
-            raise SystemExit("rosterstat: case file has no evidence array")
+            raise ValueError("case file has no evidence array")
         shortcut = bayes.OddsState(prior, case.evidence)
         strict = bayes.OddsState(bayes.odds_from_probability(prior), case.evidence)
         return [

@@ -252,7 +252,7 @@ def derive_sim_config(
     is n/r rounded to nearest (the true head count is unknown, only total
     shifts are). Non-integral ratios are logged with both values.
     """
-    pool = pool_wards(case, list(ward_names))
+    pool = pool_wards(case, ward_names)
     r = pool.suspect_shifts
     if r == 0:
         raise ValueError("suspect has no shifts in the selected wards")
@@ -275,7 +275,7 @@ def derive_sim_config(
 
 def observed_threshold(case: CaseFile, ward_names: Sequence[str]) -> RelativeRisk:
     """The suspect's observed relative risk over the named wards."""
-    pool = pool_wards(case, list(ward_names))
+    pool = pool_wards(case, ward_names)
     return relative_risk(
         pool.suspect_incidents,
         pool.suspect_shifts,

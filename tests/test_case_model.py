@@ -16,7 +16,6 @@ from rosterstat.case import (
     pool_wards,
     serialize_case,
 )
-from rosterstat.poisson_model import conditional_binomial_test, estimate_mu
 
 VALID_DOC = {
     "case_name": "demo",
@@ -105,6 +104,29 @@ class TestParseCase:
         case = parse_case(json.dumps(doc))
         assert [e.lr for e in case.evidence] == [0.5, 50.0]
         assert case.evidence[0].provenance == "expert"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"suspect_incidents": 1}', '"suspect_incidents": 1, "suspect_incidents": 0}',
+         "RKZ-41: key 'suspect_incidents' is repeated"),
+        ('"name": "JKZ",', '"name": "JKZ", "name": "JKZ-2",', "JKZ-2: key 'name' is repeated"),
+        ('"lr": 0.5', '"lr": 0.5, "lr": 2', "evidence 'E1': key 'lr' is repeated"),
+        ('"variant": "corrected"', '"variant": "corrected", "variant": "original"',
+         "key 'variant' is repeated"),
+    ], ids=["ward", "ward-name", "evidence", "top-level"])
+    def test_repeated_key_rejected(self, old, new, message):
+        text = json.dumps(dict(VALID_DOC, evidence=[{"label": "E1", "lr": 0.5}]))
+        assert text.count(old) == 1
+        with pytest.raises(CaseValidationError) as exc:
+            parse_case(text.replace(old, new))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("key", ["label", "lr"])
+    def test_missing_evidence_key_named(self, key):
+        entry = {"label": "E1", "lr": 0.5}
+        del entry[key]
+        with pytest.raises(CaseValidationError) as exc:
+            parse_case(json.dumps(dict(VALID_DOC, evidence=[entry])))
+        assert str(exc.value) == f"evidence #0: missing key {key!r}"
 
     @pytest.mark.parametrize("name", ["", "A,1", " B", "B ", "\tC", "D\n"])
     def test_name_the_wards_flag_cannot_select_rejected(self, name):
@@ -319,14 +341,15 @@ class TestDefaultWardNames:
     def test_no_rkz_ward_gives_all_wards_in_file_order(self):
         assert self.NO_RKZ.default_ward_names() == ["W2", "W1"]
 
-    def test_methods_default_to_these_wards(self):
-        case, names = self.NO_RKZ, ["W2", "W1"]
-        for basis in ("exclude_suspect", "include_suspect"):
-            assert estimate_mu(case, basis) == estimate_mu(case, basis, names)
-        assert conditional_binomial_test(case) == conditional_binomial_test(case, names)
-
 
 def test_case_requires_unique_ward_names():
     w = WardRoster("w", 10, 2, 1, 1)
     with pytest.raises(CaseValidationError, match="unique"):
         CaseFile(case_name="x", suspect="s", wards=(w, w))
+
+
+def test_case_reads_its_wards_from_any_iterable():
+    w = WardRoster("w", 10, 2, 1, 1)
+    assert CaseFile(case_name="x", suspect="s", wards=iter([w])).wards == (w,)
+    with pytest.raises(CaseValidationError, match="at least one ward"):
+        CaseFile(case_name="x", suspect="s", wards=iter([]))

@@ -29,8 +29,18 @@ class TestAnalyze:
         assert "data variant: corrected" in out
 
     def test_elffers_requires_multiplier(self, capsys):
-        with pytest.raises(SystemExit):
-            run(capsys, "analyze", "--builtin", "original", "--method", "elffers")
+        code, out, err = run(capsys, "analyze", "--builtin", "original",
+                             "--method", "elffers")
+        assert (code, out) == (2, "")
+        assert err.startswith("rosterstat: --method elffers requires --jkz-multiplier; ")
+
+    def test_bayes_requires_an_evidence_array(self, tmp_path, capsys):
+        doc = json.loads(serialize_case(builtin_paper_case("corrected")))
+        del doc["evidence"]
+        path = tmp_path / "no_evidence.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--case", str(path), "--method", "bayes")
+        assert (code, out, err) == (2, "", "rosterstat: case file has no evidence array\n")
 
     def test_elffers_original(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "original",
@@ -51,6 +61,16 @@ class TestAnalyze:
                            "--method", "pooled")
         assert code == 2
         assert "rosterstat:" in err
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        text = serialize_case(builtin_paper_case("corrected"))
+        old = '"suspect_incidents": 5'
+        assert text.count(old) == 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace(old, old + ', "suspect_incidents": 4'), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--case", str(bad), "--method", "pooled")
+        assert (code, out, err) == (
+            2, "", "rosterstat: RKZ-42: key 'suspect_incidents' is repeated\n")
 
     def test_wrong_json_type_exits_2(self, tmp_path, capsys):
         doc = json.loads(serialize_case(builtin_paper_case("corrected")))
@@ -105,11 +125,10 @@ class TestAnalyze:
         "fixed=0", "fixed=-0.5",
     ])
     def test_bad_mu_basis_names_the_flag(self, capsys, method, spec):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "analyze", "--builtin", "corrected", "--method", method,
-                "--mu-basis", spec, "--replicates", "100")
-        assert isinstance(exc.value.code, str)  # a message: exit status 1
-        assert f"--mu-basis {spec!r}" in exc.value.code
+        code, out, err = run(capsys, "analyze", "--builtin", "corrected", "--method",
+                             method, "--mu-basis", spec, "--replicates", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"rosterstat: unknown --mu-basis {spec!r}; ")
 
     def test_mu_basis_ignored_by_methods_that_do_not_read_it(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "corrected",
@@ -315,6 +334,25 @@ def test_closed_stdout_exits_1_quietly():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+def test_fifty_thousand_wards_finish_in_bounded_time(tmp_path):
+    # every ward is pooled by default; resolving the ward list is linear in
+    # its length, where a quadratic lookup took minutes on this file
+    wards = [{"name": f"W{i}", "total_shifts": 10, "suspect_shifts": 2,
+              "total_incidents": 1, "suspect_incidents": 0} for i in range(50_000)]
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"case_name": "many", "suspect": "s",
+                                "variant": "corrected", "wards": wards}), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "rosterstat.cli", "analyze", "--case", str(path),
+         "--method", "pooled", "--output", "machine"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=30)
+    assert done.returncode == 0, done.stderr
+    [result] = json.loads(done.stdout)["results"]
+    assert result["p_value"] == 1.0
+    assert result["components"][0][0] == "+".join(w["name"] for w in wards)
 
 
 class TestNumpyStaysOut:
