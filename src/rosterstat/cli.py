@@ -14,6 +14,7 @@ from pathlib import Path
 
 from rosterstat.case import CaseFile, CaseValidationError, builtin_paper_case, parse_case
 from rosterstat.report import (
+    METHODS,
     build_report,
     render_machine,
     render_repro_table,
@@ -23,12 +24,6 @@ from rosterstat.report import (
     run_method,
     strict_json,
 )
-
-METHODS = (
-    "elffers", "per-ward", "bonferroni", "pooled", "convolved", "fisher",
-    "poisson-lr", "binomial-cond", "bayes", "relative-risk",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

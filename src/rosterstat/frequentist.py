@@ -168,7 +168,7 @@ def fisher_combine(p_values: Sequence[float]) -> TestResult:
             raise ValueError("degenerate component p-value (exactly 0)")
         if not (0.0 < p <= 1.0):
             raise ValueError(f"component p-value out of (0, 1]: {p!r}")
-    statistic = -2.0 * math.fsum(math.log(p) for p in p_values)
+    statistic = -2.0 * math.fsum(math.log(p) for p in p_values) + 0.0  # -0.0 becomes 0.0
     combined = chi2_survival_even(statistic, 2 * len(p_values))
     return TestResult(
         method="fisher_combined",

@@ -96,6 +96,12 @@ def _parse_mu_basis(spec: str) -> tuple[str, float | None]:
     )
 
 
+METHODS = (
+    "elffers", "per-ward", "bonferroni", "pooled", "convolved", "fisher",
+    "poisson-lr", "binomial-cond", "bayes", "relative-risk",
+)
+
+
 def run_method(
     case: CaseFile,
     method: str,
@@ -330,6 +336,32 @@ def _two_sig_figs(x: float) -> str:
     return f"{x:.2g}"
 
 
+# One builder per tolerance kind: each writes a row's tolerance text and its
+# check from the same numbers, so the two cannot drift apart.
+def _rounds_row(label: str, paper_value: str, computed: float) -> ReproRow:
+    """Passes when ``computed`` rounds to the paper's figure at 2 significant figures."""
+    return ReproRow(label, paper_value, computed,
+                    f"rounds to {paper_value} at 2 significant figures",
+                    _two_sig_figs(computed) == paper_value)
+
+
+def _near_row(label: str, paper_value: float, computed: float, d: float) -> ReproRow:
+    """Passes when ``computed`` is within ``d`` of the paper's figure."""
+    return ReproRow(label, f"{paper_value}", computed, f"+/- {d}",
+                    abs(computed - paper_value) <= d)
+
+
+def _interval_row(label: str, paper_value: str, computed: float,
+                  lo: float, hi: float) -> ReproRow:
+    """Passes when ``computed`` lies in the closed interval [lo, hi]."""
+    return ReproRow(label, paper_value, computed, f"in [{lo}, {hi}]", lo <= computed <= hi)
+
+
+def _ordering_row(label: str, paper_value: str, smaller: float, larger: float) -> ReproRow:
+    """Passes when ``smaller < larger``; the computed value is their difference."""
+    return ReproRow(label, paper_value, larger - smaller, "strict inequality", smaller < larger)
+
+
 def reproduce_paper(seed: int = 0, replicates: int = 100_000) -> list[ReproRow]:
     """Recompute every published figure from the built-in case.
 
@@ -338,7 +370,6 @@ def reproduce_paper(seed: int = 0, replicates: int = 100_000) -> list[ReproRow]:
     deterministic. Returns one row per figure; the caller decides what a
     failed row means for the process exit status.
     """
-    rows: list[ReproRow] = []
     corrected = builtin_paper_case("corrected")
     original = builtin_paper_case("original")
     rkz = corrected.default_ward_names()
@@ -349,72 +380,38 @@ def reproduce_paper(seed: int = 0, replicates: int = 100_000) -> list[ReproRow]:
 
     # JKZ tail with the post-hoc multiplier of its 27 nurses
     bound = single(corrected, "bonferroni", [JKZ]).p_value
-    rows.append(ReproRow(
-        "JKZ post-hoc bound: 27 x per-ward tail", "< 1/300,000", bound,
-        "strict inequality", bound < 1.0 / 300_000.0,
-    ))
-
-    # pooled RKZ tail
     pooled = single(corrected, "pooled", rkz).p_value
-    rows.append(ReproRow(
-        "pooled RKZ tail", "0.0038", pooled,
-        "rounds to 0.0038 at 2 significant figures",
-        _two_sig_figs(pooled) == "0.0038",
-    ))
-
-    # convolved per-ward sum
     convolved = single(corrected, "convolved", rkz).p_value
-    rows.append(ReproRow(
-        "convolved RKZ sum tail", "0.022", convolved,
-        "rounds to 0.022 at 2 significant figures",
-        _two_sig_figs(convolved) == "0.022",
-    ))
-
-    # ordering of the two revised tests
-    rows.append(ReproRow(
-        "convolved > pooled ordering", "0.022 > 0.0038", convolved - pooled,
-        "strict inequality", convolved > pooled,
-    ))
-
-    # Poisson likelihood ratios
     lr1 = single(corrected, "poisson-lr", rkz, mu_basis="exclude_suspect")
     lr2 = single(corrected, "poisson-lr", rkz, mu_basis="include_suspect")
-    rows.append(ReproRow(
-        "likelihood ratio, background from other nurses (13/614)", "90.7",
-        lr1.value, "+/- 0.05", abs(lr1.value - 90.7) <= 0.05,
-    ))
-    rows.append(ReproRow(
-        "likelihood ratio, background from all nurses (19/675)", "about 25",
-        lr2.value, "in [24.5, 25.5]", 24.5 <= lr2.value <= 25.5,
-    ))
-    slight = "slightly more likely under H_p than under H_d"
-    rows.append(ReproRow(
-        "verbal band for both likelihood ratios", "slightly more likely under H_p",
-        float(lr1.verbal == slight and lr2.verbal == slight),
-        "exact band match", lr1.verbal == slight and lr2.verbal == slight,
-    ))
-
-    # Bayesian chain (prior probability used directly as prior odds,
-    # reproducing the published shortcut; the strict odds form is also shown)
-    (_, state, extra), (_, strict_state, _) = run_method(corrected, "bayes", rkz, prior=1e-5)
-    rows.append(ReproRow(
-        "posterior odds (prior probability used as prior odds)", "8.75",
-        state.posterior_odds, "exact product arithmetic (1e-12)",
-        abs(state.posterior_odds - 8.75) < 1e-12,
-    ))
-    prob = extra["posterior_probability"]
-    rows.append(ReproRow(
-        "posterior probability of guilt", "close to 90%", prob,
-        "in [0.897, 0.898]", 0.897 <= prob <= 0.898,
-    ))
-    rows.append(ReproRow(
-        "posterior odds (strict odds p/(1-p) convention)", "roughly 8.75",
-        strict_state.posterior_odds, "in [8.74, 8.76]",
-        8.74 <= strict_state.posterior_odds <= 8.76,
-    ))
+    bands_match = lr1.verbal == lr2.verbal == "slightly more likely under H_p than under H_d"
+    # the prior probability used directly as prior odds reproduces the
+    # published shortcut; the strict odds form is shown beside it
+    (_, state, extra), (_, strict, _) = run_method(corrected, "bayes", rkz, prior=1e-5)
+    rows = [
+        ReproRow("JKZ post-hoc bound: 27 x per-ward tail", "< 1/300,000", bound,
+                 "strict inequality", bound < 1.0 / 300_000.0),
+        _rounds_row("pooled RKZ tail", "0.0038", pooled),
+        _rounds_row("convolved RKZ sum tail", "0.022", convolved),
+        _ordering_row("convolved > pooled ordering", "0.022 > 0.0038", pooled, convolved),
+        _near_row("likelihood ratio, background from other nurses (13/614)", 90.7,
+                  lr1.value, 0.05),
+        _interval_row("likelihood ratio, background from all nurses (19/675)", "about 25",
+                      lr2.value, 24.5, 25.5),
+        ReproRow("verbal band for both likelihood ratios", "slightly more likely under H_p",
+                 float(bands_match), "exact band match", bands_match),
+        ReproRow("posterior odds (prior probability used as prior odds)", "8.75",
+                 state.posterior_odds, "exact product arithmetic (1e-12)",
+                 abs(state.posterior_odds - 8.75) < 1e-12),
+        _interval_row("posterior probability of guilt", "close to 90%",
+                      extra["posterior_probability"], 0.897, 0.898),
+        _interval_row("posterior odds (strict odds p/(1-p) convention)", "roughly 8.75",
+                      strict.posterior_odds, 8.74, 8.76),
+    ]
 
     # Monte Carlo table: max relative risk among equal-shift nurses; each
-    # run also gives the suspect's observed relative risk over its wards
+    # run also gives the suspect's observed relative risk over its wards,
+    # which does not depend on the mu basis
     table = [
         ("whole RKZ", rkz, "exclude_suspect", 0.121),
         ("whole RKZ", rkz, "include_suspect", 0.042),
@@ -423,61 +420,38 @@ def reproduce_paper(seed: int = 0, replicates: int = 100_000) -> list[ReproRow]:
         ("RKZ-42", [RKZ_42], "exclude_suspect", 0.383),
         ("RKZ-42", [RKZ_42], "include_suspect", 0.286),
     ]
-    runs = {
-        (name, basis): run_method(corrected, "relative-risk", wards, mu_basis=basis,
-                                  seed=seed, replicates=replicates)
-        for name, wards, basis, _ in table
-    }
-
-    # relative risk
-    rr = runs[("whole RKZ", "exclude_suspect")][0][1]
-    rows.append(ReproRow(
-        "suspect's relative risk over the RKZ", "about 4.65", rr.value,
-        "in [4.64, 4.66]", 4.64 <= rr.value <= 4.66,
-    ))
-
-    p_sim = {key: run[1][1].p_value for key, run in runs.items()}
-    for name, _, basis, target in table:
-        p = p_sim[(name, basis)]
-        rows.append(ReproRow(
-            f"max-relative-risk p-value, {name}, mu basis {basis} "
-            f"(seed {seed}, {replicates} replicates)",
-            f"{target}", p, "+/- 0.05", abs(p - target) <= 0.05,
-        ))
-    exclude, include = (p_sim[("whole RKZ", basis)]
-                        for basis in ("exclude_suspect", "include_suspect"))
-    rows.append(ReproRow(
-        "whole-RKZ ordering: p(include_suspect) < p(exclude_suspect)",
-        "0.042 < 0.121", exclude - include, "strict inequality", include < exclude,
-    ))
+    observed, p_sim = {}, {}
+    for name, wards, basis, _ in table:
+        (_, observed[name], _), (_, sim, _) = run_method(
+            corrected, "relative-risk", wards, mu_basis=basis, seed=seed, replicates=replicates)
+        p_sim[name, basis] = sim.p_value
+    rows.append(_interval_row("suspect's relative risk over the RKZ", "about 4.65",
+                              observed["whole RKZ"].value, 4.64, 4.66))
+    rows += [_near_row(f"max-relative-risk p-value, {name}, mu basis {basis} "
+                       f"(seed {seed}, {replicates} replicates)",
+                       target, p_sim[name, basis], 0.05)
+             for name, _, basis, target in table]
+    rows.append(_ordering_row(
+        "whole-RKZ ordering: p(include_suspect) < p(exclude_suspect)", "0.042 < 0.121",
+        p_sim["whole RKZ", "include_suspect"], p_sim["whole RKZ", "exclude_suspect"]))
 
     # the original pipeline product, on the original data variant
-    pipeline = single(original, "elffers", rkz, jkz_multiplier=27)
-    rows.append(ReproRow(
-        "original pipeline product (x27 at JKZ, original variant; NOT a p-value)",
-        "reported as less than 1 in 342 million", pipeline.p_value,
-        "order of magnitude: in [1e-10, 1e-7]; no equality asserted",
-        1e-10 <= pipeline.p_value <= 1e-7,
-    ))
-
-    # conditional binomial vs pooled hypergeometric
-    binom = single(corrected, "binomial-cond", rkz).p_value
-    ratio = binom / pooled
-    rows.append(ReproRow(
-        "conditional binomial vs pooled hypergeometric",
-        "almost the same", ratio, "ratio within a factor of 1.5",
-        (1 / 1.5) <= ratio <= 1.5,
-    ))
-
+    pipeline = single(original, "elffers", rkz, jkz_multiplier=27).p_value
+    ratio = single(corrected, "binomial-cond", rkz).p_value / pooled
     uncorrected = single(original, "pooled", rkz).p_value
-    rows.append(ReproRow(
-        "pooled RKZ tail, exact value for reference (see notes)",
-        "paper prints 0.0038; the exact >=6 tail with the corrected counts "
-        f"is {_two_sig_figs(pooled)}, while the tail with the uncorrected 59 "
-        f"shifts is {_two_sig_figs(uncorrected)}",
-        pooled, "informational", True,
-    ))
-    return rows
+    return rows + [
+        ReproRow("original pipeline product (x27 at JKZ, original variant; NOT a p-value)",
+                 "reported as less than 1 in 342 million", pipeline,
+                 "order of magnitude: in [1e-10, 1e-7]; no equality asserted",
+                 1e-10 <= pipeline <= 1e-7),
+        ReproRow("conditional binomial vs pooled hypergeometric", "almost the same", ratio,
+                 "ratio within a factor of 1.5", (1 / 1.5) <= ratio <= 1.5),
+        ReproRow("pooled RKZ tail, exact value for reference (see notes)",
+                 "paper prints 0.0038; the exact >=6 tail with the corrected counts "
+                 f"is {_two_sig_figs(pooled)}, while the tail with the uncorrected 59 "
+                 f"shifts is {_two_sig_figs(uncorrected)}",
+                 pooled, "informational", True),
+    ]
 
 
 def render_repro_table(rows: list[ReproRow]) -> str:

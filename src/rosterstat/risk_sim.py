@@ -121,18 +121,13 @@ def _exceeds(max_counts: np.ndarray, totals: np.ndarray, I: int,
     """Vectorized exceedance of the maximum relative risk.
 
     Ties count as exceeding (>=). All-zero replicates have every relative
-    risk equal to 1; a suspect holding all incidents has +infinity.
+    risk equal to 1; a suspect holding all incidents has +infinity, which
+    the product test meets at any finite threshold (0 >= 0).
     """
-    exceed = np.zeros(max_counts.shape, dtype=bool)
-    all_zero = totals == 0
-    all_mine = (totals == max_counts) & ~all_zero
-    exceed[all_zero] = 1.0 >= threshold
-    exceed[all_mine] = True
-    rest = ~all_zero & ~all_mine
-    exceed[rest] = (
-        max_counts[rest] * (I - 1) >= threshold * (totals[rest] - max_counts[rest])
-    )
-    return exceed
+    if threshold == math.inf:  # inf * 0 would be NaN
+        return (totals == max_counts) & (totals > 0)
+    return np.where(totals == 0, 1.0 >= threshold,
+                    max_counts * (I - 1) >= threshold * (totals - max_counts))
 
 
 def _simulate_range(cfg: SimulationConfig, threshold: float, first: int,
@@ -173,7 +168,7 @@ def simulate_max_rr(cfg: SimulationConfig, threshold: float,
     come from a fixed slice of the Philox stream, so the report is
     bit-identical for any worker count.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails this too
         raise ValueError(f"threshold must be non-negative, got {threshold!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -210,7 +205,7 @@ def exact_max_rr_tail(I: int, r: int, mu: float, threshold: float,
     """
     if not (2 <= I <= 4):
         raise ValueError(f"exact enumeration supports 2 <= I <= 4, got {I}")
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails this too
         raise ValueError(f"threshold must be non-negative, got {threshold!r}")
     dist = poisson_dist(mu * r)
     lo, probs = dist.support_min, dist.probabilities

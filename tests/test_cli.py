@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rosterstat
-from rosterstat import risk_sim
+from rosterstat import cli, report, risk_sim
 from rosterstat.case import builtin_paper_case, serialize_case
 from rosterstat.cli import main
 from rosterstat.report import ReproRow, reproduce_paper
@@ -197,6 +197,17 @@ class TestAnalyze:
         code, text, _ = run(capsys, *argv)
         assert code == 0
         assert "{value: inf, " in text
+
+    def test_fisher_statistic_with_no_suspect_incidents_is_positive_zero(self, tmp_path,
+                                                                        capsys):
+        path = self._one_ward_case(tmp_path, 100, 10, 3, 0)
+        argv = ["analyze", "--case", path, "--method", "fisher"]
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        assert "    statistic: 0.0\n" in text
+        code, out, _ = run(capsys, *argv, "--output", "machine")
+        assert code == 0
+        assert '"statistic": 0.0,' in out
 
     def test_relative_risk_where_the_poisson_sum_stalls(self, tmp_path, capsys):
         # per-nurse mean 0.4 x 20 = 8.0, whose float CDF never reaches 1 - 1e-15
@@ -393,6 +404,13 @@ class TestNumpyStaysOut:
         exec("from rosterstat import *", namespace)
         assert len(rosterstat.__all__) == 42
         assert [n for n in rosterstat.__all__ if n not in namespace] == []
+
+
+def test_cli_offers_the_report_layers_methods_in_order():
+    assert cli.METHODS is report.METHODS
+    assert cli.METHODS == (
+        "elffers", "per-ward", "bonferroni", "pooled", "convolved", "fisher",
+        "poisson-lr", "binomial-cond", "bayes", "relative-risk")
 
 
 class TestReproducePaper:

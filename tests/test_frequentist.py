@@ -171,6 +171,10 @@ class TestFisherCombine:
         assert result.statistic == 0.0
         assert result.p_value == 1.0
 
+    def test_all_ones_statistic_is_positive_zero(self):
+        # -2 * fsum([0.0, ...]) alone is -0.0, which prints as "-0.0"
+        assert math.copysign(1.0, fisher_combine([1.0, 1.0]).statistic) == 1.0
+
     def test_single_value_passthrough(self):
         for p in (0.5, 0.031, 1.0, 1e-9):
             assert fisher_combine([p]).p_value == pytest.approx(p, rel=1e-12, abs=0)

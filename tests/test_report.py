@@ -25,6 +25,10 @@ from rosterstat.case import JKZ, RKZ_41, RKZ_42, VARIANTS, CaseFile, WardRoster
 from rosterstat.report import (
     GENERAL_CAVEATS,
     METHOD_CAVEATS,
+    _interval_row,
+    _near_row,
+    _ordering_row,
+    _rounds_row,
     build_report,
     render_machine,
     render_text,
@@ -307,3 +311,55 @@ def test_strict_json_raises_as_json_does(bad):
     with pytest.raises(kind) as raised:
         strict_json(doc)
     assert raised.type is kind and str(raised.value) == message
+
+
+class TestReproRowBuilders:
+    """A row passes exactly at its tolerance's bounds and fails one float past them.
+
+    The bounds of the first two kinds are chosen binary-exact, so that the
+    float edge of the tolerance is the written one; the tolerance texts are
+    those reproduce-paper has always printed for its rows.
+    """
+
+    def test_rounds_to_two_significant_figures(self):
+        # 11.5 and 12.5 are exact binary ties, which %.2g rounds to the even 12
+        for edge, outward in ((11.5, -math.inf), (12.5, math.inf)):
+            assert _rounds_row("r", "12", edge).passed
+            assert not _rounds_row("r", "12", math.nextafter(edge, outward)).passed
+
+    @pytest.mark.parametrize("paper_value", ["0.0038", "0.022"])
+    def test_rounds_text(self, paper_value):
+        row = _rounds_row("r", paper_value, 0.5)
+        assert row.paper_value == paper_value
+        assert row.tolerance == f"rounds to {paper_value} at 2 significant figures"
+
+    def test_within_a_distance(self):
+        # 1 +/- 0.25: each difference from 1 here is exact (Sterbenz)
+        for edge, outward in ((0.75, -math.inf), (1.25, math.inf)):
+            assert _near_row("r", 1.0, edge, 0.25).passed
+            assert not _near_row("r", 1.0, math.nextafter(edge, outward), 0.25).passed
+
+    @pytest.mark.parametrize("paper_value, text", [
+        (90.7, "90.7"), (0.121, "0.121"), (0.042, "0.042"), (0.787, "0.787"),
+        (0.681, "0.681"), (0.383, "0.383"), (0.286, "0.286")])
+    def test_within_text(self, paper_value, text):
+        row = _near_row("r", paper_value, 0.5, 0.05)
+        assert (row.paper_value, row.tolerance) == (text, "+/- 0.05")
+
+    @pytest.mark.parametrize("lo, hi, text", [
+        (24.5, 25.5, "in [24.5, 25.5]"), (0.897, 0.898, "in [0.897, 0.898]"),
+        (8.74, 8.76, "in [8.74, 8.76]"), (4.64, 4.66, "in [4.64, 4.66]")])
+    def test_closed_interval(self, lo, hi, text):
+        for edge, outward in ((lo, -math.inf), (hi, math.inf)):
+            assert _interval_row("r", "p", edge, lo, hi).passed
+            assert not _interval_row("r", "p", math.nextafter(edge, outward), lo, hi).passed
+        assert _interval_row("r", "p", lo, lo, hi).tolerance == text
+
+    @pytest.mark.parametrize("smaller, larger", [(0.0038, 0.022), (0.042, 0.121)])
+    def test_strict_inequality(self, smaller, larger):
+        row = _ordering_row("r", "p", smaller, larger)
+        assert row.passed and row.computed == larger - smaller
+        assert row.tolerance == "strict inequality"
+        # the bound itself fails, and one float inside it passes
+        assert not _ordering_row("r", "p", larger, larger).passed
+        assert _ordering_row("r", "p", math.nextafter(larger, -math.inf), larger).passed

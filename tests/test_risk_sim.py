@@ -125,6 +125,13 @@ class TestSimulateMaxRr:
         with pytest.raises(ValueError):
             simulate_max_rr(cfg, -1.0)
 
+    def test_nan_threshold_rejected(self):
+        cfg = SimulationConfig(3, 1, 1.0, replicates=1000)
+        with pytest.raises(ValueError, match="threshold must be non-negative, got nan"):
+            simulate_max_rr(cfg, math.nan)
+        with pytest.raises(ValueError, match="threshold must be non-negative, got nan"):
+            exact_max_rr_tail(3, 1, 1.0, math.nan, count_cap=30)
+
     @pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0])
     def test_mu_must_be_positive_and_finite(self, mu):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -270,6 +277,35 @@ class TestExactOracle:
     def test_large_i_rejected(self):
         with pytest.raises(ValueError):
             exact_max_rr_tail(5, 1, 0.5, 1.0, count_cap=25)
+
+
+def _reference_exceeds(max_counts, totals, I, threshold):
+    """The exceedance rule as first written: one masked assignment per case."""
+    exceed = np.zeros(max_counts.shape, dtype=bool)
+    all_zero = totals == 0
+    all_mine = (totals == max_counts) & ~all_zero
+    exceed[all_zero] = 1.0 >= threshold
+    exceed[all_mine] = True
+    rest = ~all_zero & ~all_mine
+    exceed[rest] = (
+        max_counts[rest] * (I - 1) >= threshold * (totals[rest] - max_counts[rest])
+    )
+    return exceed
+
+
+class TestExceedanceRule:
+    def test_flags_equal_the_masked_rule(self):
+        rng = np.random.default_rng(18)
+        for _ in range(600):
+            I = int(rng.integers(2, 13))
+            # small means give all-zero and one-nurse replicates, large ones ties
+            counts = rng.poisson(rng.choice([0.05, 0.5, 2.0, 20.0]), size=(40, I))
+            max_counts, totals = counts.max(axis=1), counts.sum(axis=1)
+            for threshold in (0.0, 0.5, 1.0, 1.5, 4.6456, 40.0, math.inf,
+                              float(rng.uniform(0, 10))):
+                np.testing.assert_array_equal(
+                    risk_sim._exceeds(max_counts, totals, I, threshold),
+                    _reference_exceeds(max_counts, totals, I, threshold))
 
 
 # seed 0, 100,000 replicates: the six Monte Carlo rows of reproduce-paper
