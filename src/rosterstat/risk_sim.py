@@ -13,8 +13,15 @@ consumes a fixed, padded slice of the uniform stream, so any partition of
 the replicate range across threads, and any block size, reproduces
 bit-identical counts. Each thread advances one generator to the start of
 its range and draws its blocks in turn. Blocks are sized by bytes
-(_BLOCK_BYTES of uniforms and counts, or one replicate if that is larger),
-so memory is about threads x max(budget, one replicate).
+(_BLOCK_BYTES of everything a block holds, or one replicate if that is
+larger), so memory is about threads x max(budget, one replicate).
+
+Inversion is a guide table (Chen and Asau 1974). Each uniform is scaled in
+place by _BUCKETS, a power of two, so scaled uniforms and the scaled CDF are
+exact and compare as the unscaled ones do. The integer part picks a bucket;
+the per-run bucket table gives the count for a bucket that holds no CDF
+entry, and only draws in the other buckets are binary-searched. Every count
+equals searchsorted(cdf, u, side="right").
 """
 
 from __future__ import annotations
@@ -35,7 +42,16 @@ from rosterstat.poisson_model import estimate_mu
 
 logger = logging.getLogger(__name__)
 
-_BLOCK_BYTES = 2 << 20  # float64 uniforms plus int64 counts per block
+# per block: float64 uniforms, the intp bucket index, the counts and the
+# searched-draw mask; the six paper rows ran as fast at 512 KiB as at 1 or
+# 2 MiB (slower at 256 KiB), and a relative-risk process peaked about 2 MiB
+# lower than at 2 MiB
+_BLOCK_BYTES = 512 << 10
+_BUCKETS = 1 << 12  # a power of two, so scaling by it is exact
+# a replicate's block arrays take about 18 bytes per nurse, and a traced
+# one-replicate run at I = 10**6 peaked at 17.0 MB; without a bound a valid
+# ward with n = 10**9, r = 1 would ask for one 18 GB replicate
+_MAX_NURSE_COUNT = 10**6
 
 
 @dataclass(frozen=True)
@@ -79,6 +95,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.nurse_count < 2:
             raise ValueError(f"nurse_count must be >= 2, got {self.nurse_count}")
+        if self.nurse_count > _MAX_NURSE_COUNT:
+            raise ValueError(f"nurse_count {self.nurse_count} is above 10**6")
         if self.shifts_per_nurse < 1:
             raise ValueError(f"shifts_per_nurse must be >= 1, got {self.shifts_per_nurse}")
         if not (self.mu > 0 and math.isfinite(self.mu)):
@@ -130,14 +148,40 @@ def _exceeds(max_counts: np.ndarray, totals: np.ndarray, I: int,
                     max_counts * (I - 1) >= threshold * (totals - max_counts))
 
 
+def _bucket_table(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scaled CDF and the bucket table for _invert.
+
+    A uniform u lies in bucket floor(u * _BUCKETS). Where no CDF entry lies
+    inside a bucket, every uniform in it inverts to the count at the
+    bucket's start, which the table holds; a bucket with an entry inside
+    holds len(cdf) + 1, above every count, so its draws are searched. The
+    table takes the smallest unsigned dtype that holds that marker.
+    """
+    scaled = cdf * _BUCKETS
+    starts = np.searchsorted(scaled, np.arange(_BUCKETS + 1.0), side="right")
+    table = np.where(starts[1:] == starts[:-1], starts[:-1], len(cdf) + 1)
+    return scaled, table.astype(np.min_scalar_type(len(cdf) + 1))
+
+
+def _invert(scaled: np.ndarray, table: np.ndarray, scaled_u: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf, u, side="right") for uniforms u scaled by _BUCKETS.
+
+    Returns the counts in the table's dtype.
+    """
+    counts = table[scaled_u.astype(np.intp)]
+    searched = counts == len(scaled) + 1
+    counts[searched] = np.searchsorted(scaled, scaled_u[searched], side="right")
+    return counts
+
+
 def _simulate_range(cfg: SimulationConfig, threshold: float, first: int,
-                    cdf: np.ndarray, start: int, stop: int, stride: int,
-                    rows: int) -> tuple[int, int]:
+                    scaled: np.ndarray, table: np.ndarray, start: int, stop: int,
+                    stride: int, rows: int) -> tuple[int, int]:
     """Exceed/degenerate counts for replicates [start, stop).
 
-    Works through the range in blocks of ``rows`` replicates, whose uniforms
-    and counts fit in _BLOCK_BYTES unless one replicate alone is larger, so
-    each thread holds about max(budget, one replicate).
+    Works through the range in blocks of ``rows`` replicates, whose arrays
+    fit in _BLOCK_BYTES unless one replicate alone is larger, so each
+    thread holds about max(budget, one replicate).
     One generator is advanced to the range's first replicate; stride is a
     multiple of 4, so each block leaves it at the next replicate's offset
     and the counts do not depend on the block size. The table's first count
@@ -145,16 +189,18 @@ def _simulate_range(cfg: SimulationConfig, threshold: float, first: int,
     """
     exceed = 0
     degenerate = 0
+    I = cfg.nurse_count
     bit_gen = np.random.Philox(key=cfg.seed)
     bit_gen.advance(start * stride // 4)  # Philox blocks hold 4 doubles
     gen = np.random.Generator(bit_gen)
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
-        uniforms = gen.random((hi - lo, stride))
-        counts = np.searchsorted(cdf, uniforms[:, : cfg.nurse_count], side="right")
-        totals = counts.sum(axis=1) + first * cfg.nurse_count
-        max_counts = counts.max(axis=1) + first
-        flags = _exceeds(max_counts, totals, cfg.nurse_count, threshold)
+        scaled_u = gen.random((hi - lo, stride))[:, :I]
+        scaled_u *= _BUCKETS
+        counts = _invert(scaled, table, scaled_u)
+        totals = counts.sum(axis=1, dtype=np.int64) + first * I
+        max_counts = counts.max(axis=1).astype(np.int64) + first
+        flags = _exceeds(max_counts, totals, I, threshold)
         exceed += int(flags.sum())
         degenerate += int((totals == 0).sum())
     return exceed, degenerate
@@ -173,17 +219,20 @@ def simulate_max_rr(cfg: SimulationConfig, threshold: float,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     first, cdf = _poisson_inversion_table(cfg.mu * cfg.shifts_per_nurse)
+    scaled, table = _bucket_table(cdf)
     # pad each replicate's uniform block to a whole number of Philox blocks
     stride = 4 * math.ceil(cfg.nurse_count / 4)
-    # a replicate larger than the budget is simulated alone
-    rows = max(1, _BLOCK_BYTES // (8 * (stride + cfg.nurse_count)))
+    # per replicate: stride uniforms, then per nurse an intp bucket index, a
+    # count and a mask byte; a replicate larger than the budget runs alone
+    replicate_bytes = 8 * stride + (8 + table.itemsize + 1) * cfg.nurse_count
+    rows = max(1, _BLOCK_BYTES // replicate_bytes)
     # one range per thread; threads beyond the core count cannot run at once
     threads = min(workers, os.cpu_count() or 1, cfg.replicates)
     ranges = [(cfg.replicates * i // threads, cfg.replicates * (i + 1) // threads)
               for i in range(threads)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(lambda ab: _simulate_range(
-            cfg, threshold, first, cdf, *ab, stride, rows), ranges))
+            cfg, threshold, first, scaled, table, *ab, stride, rows), ranges))
     exceed, degenerate = map(sum, zip(*results))
     p = exceed / cfg.replicates
     return SimulationReport(
@@ -245,18 +294,22 @@ def derive_sim_config(
 
     Every simulated nurse gets the suspect's shift count r; the nurse count
     is n/r rounded to nearest (the true head count is unknown, only total
-    shifts are). Non-integral ratios are logged with both values.
+    shifts are). Non-integral ratios are logged with both values. A nurse
+    count outside 2..10**6 is rejected naming the wards and n/r.
     """
     pool = pool_wards(case, ward_names)
-    r = pool.suspect_shifts
+    n, r = pool.total_shifts, pool.suspect_shifts
     if r == 0:
-        raise ValueError("suspect has no shifts in the selected wards")
-    ratio = pool.total_shifts / r
+        raise ValueError(f"{pool.name}: the suspect has no shifts, n/r = {n}/0")
+    ratio = n / r
     nurse_count = round(ratio)
+    if not 2 <= nurse_count <= _MAX_NURSE_COUNT:
+        raise ValueError(f"{pool.name}: n/r = {n}/{r} rounds to I = {nurse_count};"
+                         " the calibration needs 2 <= I <= 10**6")
     if nurse_count != ratio:
         logger.info(
             "non-integral shifts ratio for %s: n/r = %d/%d = %.4f, using I = %d",
-            pool.name, pool.total_shifts, r, ratio, nurse_count,
+            pool.name, n, r, ratio, nurse_count,
         )
     mu = estimate_mu(case, mu_basis, names=ward_names, fixed_value=fixed_value)
     return SimulationConfig(
@@ -269,8 +322,16 @@ def derive_sim_config(
 
 
 def observed_threshold(case: CaseFile, ward_names: Sequence[str]) -> RelativeRisk:
-    """The suspect's observed relative risk over the named wards."""
+    """The suspect's observed relative risk over the named wards.
+
+    Both the suspect and the others need shifts; if not, the error names
+    the wards and n/r.
+    """
     pool = pool_wards(case, ward_names)
+    n, r = pool.total_shifts, pool.suspect_shifts
+    if not 0 < r < n:
+        raise ValueError(f"{pool.name}: n/r = {n}/{r}; the relative risk needs shifts"
+                         " for both the suspect and the other nurses")
     return relative_risk(
         pool.suspect_incidents,
         pool.suspect_shifts,

@@ -236,6 +236,23 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == "rosterstat: per-nurse Poisson mean 2000000.0 is above 10**6\n"
 
+    @pytest.mark.parametrize("n,r,k,x,message", [
+        (40, 40, 3, 3, "A: n/r = 40/40; the relative risk needs shifts for both the"
+                       " suspect and the other nurses"),
+        (40, 30, 3, 1, "A: n/r = 40/30 rounds to I = 1; the calibration needs"
+                       " 2 <= I <= 10**6"),
+        # rejected before any replicate is drawn: one would need about 18 GB
+        (10**9, 1, 10, 1, "A: n/r = 1000000000/1 rounds to I = 1000000000; the"
+                          " calibration needs 2 <= I <= 10**6"),
+    ], ids=["every-shift", "one-nurse", "nurses-over-the-bound"])
+    def test_relative_risk_ward_rejection_names_the_wards(self, tmp_path, capsys,
+                                                          n, r, k, x, message):
+        path = self._one_ward_case(tmp_path, n, r, k, x)
+        code, out, err = run(capsys, "analyze", "--case", path, "--method",
+                             "relative-risk", "--replicates", "100")
+        assert (code, out) == (2, "")
+        assert err == f"rosterstat: {message}\n"
+
     def test_nurse_count_over_the_block_budget_still_runs(self, tmp_path, capsys):
         # I = n/r = 300,000: one replicate alone needs about 4.8 MB
         path = self._one_ward_case(tmp_path, 300_000, 1, 10, 1)

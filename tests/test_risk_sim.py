@@ -66,8 +66,27 @@ class TestDeriveSimConfig:
         from rosterstat.case import CaseFile, WardRoster
 
         case = CaseFile("t", "s", (WardRoster("A", 30, 0, 3, 0),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^A: the suspect has no shifts, n/r = 30/0$"):
             derive_sim_config(case, ["A"], "include_suspect")
+
+    def test_nurse_count_over_the_bound_rejected_before_any_draw(self):
+        from rosterstat.case import CaseFile, WardRoster
+
+        # I = n/r = 10**9: one replicate would need about 18 GB
+        case = CaseFile("t", "s", (WardRoster("A", 10**9, 1, 10, 1),
+                                   WardRoster("B", 10, 0, 0, 0)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^A\+B: n/r = 1000000010/1 rounds to "
+                                                 r"I = 1000000010; the calibration needs"):
+                derive_sim_config(case, ["A", "B"], "include_suspect")
+            with pytest.raises(ValueError, match=r"^nurse_count 1000001 is above 10\*\*6$"):
+                SimulationConfig(nurse_count=10**6 + 1, shifts_per_nurse=1, mu=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        SimulationConfig(nurse_count=10**6, shifts_per_nurse=1, mu=1.0)
 
 
 class TestSimulateMaxRr:
@@ -227,6 +246,32 @@ class TestPoissonInversionTable:
             SimulationConfig(nurse_count=2, shifts_per_nurse=10**6 + 2, mu=1.0)
 
 
+class TestBucketInversion:
+    # 10**-3 ... 10**6, seven means a decade
+    MEANS = [10 ** (e / 7) for e in range(-21, 43)]
+
+    def test_counts_equal_the_binary_search(self):
+        rng = np.random.default_rng(19)
+        for mean in self.MEANS:
+            _, cdf = risk_sim._poisson_inversion_table(mean)
+            # every entry a uniform can equal, the float just below it, and
+            # both ends of [0, 1)
+            entries = cdf[cdf < 1.0]
+            uniforms = np.concatenate([rng.random(50_000), entries,
+                                       np.nextafter(entries, 0.0), [0.0, 1.0 - 2.0**-53]])
+            scaled, table = risk_sim._bucket_table(cdf)
+            counts = risk_sim._invert(scaled, table, uniforms * risk_sim._BUCKETS)
+            np.testing.assert_array_equal(
+                counts, np.searchsorted(cdf, uniforms, side="right"), err_msg=str(mean))
+
+    def test_table_dtype_holds_the_search_marker(self):
+        for mean, dtype in [(0.036, np.uint8), (10.0**6, np.uint16)]:
+            _, cdf = risk_sim._poisson_inversion_table(mean)
+            _, table = risk_sim._bucket_table(cdf)
+            assert table.dtype == dtype
+            assert table.max() == len(cdf) + 1
+
+
 class TestExactOracle:
     def test_threshold_zero(self):
         assert exact_max_rr_tail(3, 5, 0.1, 0.0, count_cap=25) == 1.0
@@ -340,16 +385,20 @@ class TestPaperCounts:
         cfg, threshold = _paper_run(wards, basis, replicates=20_011)
         default = simulate_max_rr(cfg, threshold)
         stride = 4 * math.ceil(cfg.nurse_count / 4)
+        # uniforms; then per nurse a bucket index, a uint8 count and a mask byte
         monkeypatch.setattr(risk_sim, "_BLOCK_BYTES",
-                            rows * 8 * (stride + cfg.nurse_count) + 5)
+                            rows * (8 * stride + 10 * cfg.nurse_count) + 5)
         for workers in (1, 2, 8):
             assert simulate_max_rr(cfg, threshold, workers=workers) == default
 
 
 class TestBlockMemory:
-    def test_traced_peak_stays_within_the_budget(self):
-        cfg, threshold = _paper_run(["RKZ-41"], "exclude_suspect")
-        assert cfg.nurse_count == 112
+    # at I = 11 and 6 the stride is 12 and 8, so the uniforms are scaled in
+    # place through a strided view
+    @pytest.mark.parametrize("wards,I", [(["RKZ-41"], 112), (RKZ, 11), (["RKZ-42"], 6)])
+    def test_traced_peak_stays_within_the_budget(self, wards, I):
+        cfg, threshold = _paper_run(wards, "exclude_suspect")
+        assert cfg.nurse_count == I
         tracemalloc.start()
         try:
             simulate_max_rr(cfg, threshold)
@@ -373,7 +422,7 @@ class TestBlockMemory:
         assert report == serial
 
     def test_replicate_over_the_budget_is_simulated_alone(self):
-        # I = 300,000: one replicate needs 4.8 MB, over the 2 MiB budget
+        # I = 300,000: one replicate needs over 4.8 MB, over the 512 KiB budget
         cfg = SimulationConfig(nurse_count=300_000, shifts_per_nurse=1, mu=1e-5,
                                replicates=4, seed=3)
         replicate_bytes = 8 * (cfg.nurse_count + cfg.nurse_count)
@@ -411,3 +460,13 @@ class TestObservedThreshold:
     def test_rkz41(self):
         rr = observed_threshold(builtin_paper_case("corrected"), ["RKZ-41"])
         assert rr.value == pytest.approx(27.75, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("r_a,r_b", [(40, 10), (0, 0)])
+    def test_suspect_with_every_shift_or_none_rejected(self, r_a, r_b):
+        from rosterstat.case import CaseFile, WardRoster
+
+        case = CaseFile("t", "s", (WardRoster("A", 40, r_a, 0, 0),
+                                   WardRoster("B", 10, r_b, 0, 0)))
+        with pytest.raises(ValueError, match=rf"^A\+B: n/r = 50/{r_a + r_b}; the relative"
+                                             " risk needs shifts for both"):
+            observed_threshold(case, ["A", "B"])
