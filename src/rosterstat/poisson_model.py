@@ -127,9 +127,11 @@ def estimate_mu(
         numerator = pool.total_incidents - pool.suspect_incidents
         denominator = pool.total_shifts - pool.suspect_shifts
     if denominator == 0:
-        raise ValueError("zero shifts in the intensity denominator")
+        raise ValueError(f"{pool.name}: zero shifts in the intensity denominator"
+                         f" (basis {basis})")
     if numerator == 0:
-        raise ValueError("cannot fit intensity 0 (no incidents); LR undefined")
+        raise ValueError(f"{pool.name}: cannot fit intensity 0 (no incidents,"
+                         f" basis {basis}); LR undefined")
     return IntensityEstimate(
         mu=numerator / denominator,
         basis=basis,

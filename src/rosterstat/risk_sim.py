@@ -11,10 +11,12 @@ the exact oracle exact_max_rr_tail reads too.
 Randomness is counter-based (Philox keyed by the master seed); replicate i
 consumes a fixed, padded slice of the uniform stream, so any partition of
 the replicate range across threads, and any block size, reproduces
-bit-identical counts. Each thread advances one generator to the start of
-its range and draws its blocks in turn. Blocks are sized by bytes
-(_BLOCK_BYTES of everything a block holds, or one replicate if that is
-larger), so memory is about threads x max(budget, one replicate).
+bit-identical counts. Each range advances one generator to its start and
+draws its blocks in turn. The calling thread simulates the first range; only
+a run with more than one thread starts a pool, of one thread per further
+range. Blocks are sized by bytes (_BLOCK_BYTES of everything a block holds,
+or one replicate if that is larger), so memory is about threads x
+max(budget, one replicate).
 
 Inversion is a guide table (Chen and Asau 1974). Each uniform is scaled in
 place by _BUCKETS, a power of two, so scaled uniforms and the scaled CDF are
@@ -29,7 +31,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -212,7 +213,9 @@ def simulate_max_rr(cfg: SimulationConfig, threshold: float,
 
     Deterministic given (seed, config, threshold): each replicate's counts
     come from a fixed slice of the Philox stream, so the report is
-    bit-identical for any worker count.
+    bit-identical for any worker count. The calling thread simulates the
+    first replicate range; the others, if any, run on a pool of threads,
+    which (with concurrent.futures) is loaded only when it is needed.
     """
     if not threshold >= 0:  # NaN fails this too
         raise ValueError(f"threshold must be non-negative, got {threshold!r}")
@@ -230,9 +233,19 @@ def simulate_max_rr(cfg: SimulationConfig, threshold: float,
     threads = min(workers, os.cpu_count() or 1, cfg.replicates)
     ranges = [(cfg.replicates * i // threads, cfg.replicates * (i + 1) // threads)
               for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda ab: _simulate_range(
-            cfg, threshold, first, scaled, table, *ab, stride, rows), ranges))
+
+    def run(bounds: tuple[int, int]) -> tuple[int, int]:
+        return _simulate_range(cfg, threshold, first, scaled, table, *bounds,
+                               stride, rows)
+
+    if threads == 1:
+        results = [run(ranges[0])]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            rest = pool.map(run, ranges[1:])
+            results = [run(ranges[0]), *rest]
     exceed, degenerate = map(sum, zip(*results))
     p = exceed / cfg.replicates
     return SimulationReport(

@@ -253,6 +253,22 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == f"rosterstat: {message}\n"
 
+    # all 8 JKZ incidents fall on the suspect's shifts, so the others' rate is 0
+    @pytest.mark.parametrize("method", ["poisson-lr", "relative-risk"])
+    def test_intensity_without_incidents_names_the_wards(self, capsys, method):
+        code, out, err = run(capsys, "analyze", "--builtin", "corrected", "--wards",
+                             "JKZ", "--method", method, "--replicates", "100")
+        assert (code, out) == (2, "")
+        assert err == ("rosterstat: JKZ: cannot fit intensity 0 (no incidents,"
+                       " basis exclude_suspect); LR undefined\n")
+
+    def test_intensity_without_shifts_names_the_wards(self, tmp_path, capsys):
+        path = self._one_ward_case(tmp_path, 40, 40, 3, 3)
+        code, out, err = run(capsys, "analyze", "--case", path, "--method", "poisson-lr")
+        assert (code, out) == (2, "")
+        assert err == ("rosterstat: A: zero shifts in the intensity denominator"
+                       " (basis exclude_suspect)\n")
+
     def test_nurse_count_over_the_block_budget_still_runs(self, tmp_path, capsys):
         # I = n/r = 300,000: one replicate alone needs about 4.8 MB
         path = self._one_ward_case(tmp_path, 300_000, 1, 10, 1)

@@ -1,5 +1,12 @@
+import concurrent.futures
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +24,7 @@ from rosterstat.risk_sim import (
 )
 
 RKZ = ["RKZ-41", "RKZ-42"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestRelativeRisk:
@@ -102,11 +110,13 @@ class TestSimulateMaxRr:
         values = [simulate_max_rr(cfg, t).p_value for t in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_bit_identical_across_worker_counts(self):
+    def test_bit_identical_across_worker_counts(self, monkeypatch):
+        # eight cores, so three and eight workers start pools of two and seven
+        monkeypatch.setattr(risk_sim.os, "cpu_count", lambda: 8)
         cfg = SimulationConfig(nurse_count=11, shifts_per_nurse=61, mu=13 / 614,
                                replicates=30_000, seed=99)
-        reports = [simulate_max_rr(cfg, 4.65, workers=w) for w in (1, 2, 8)]
-        assert reports[0] == reports[1] == reports[2]
+        reports = [simulate_max_rr(cfg, 4.65, workers=w) for w in (1, 2, 3, 8)]
+        assert all(report == reports[0] for report in reports)
 
     def test_deterministic_given_seed(self):
         cfg = SimulationConfig(nurse_count=6, shifts_per_nurse=58, mu=9 / 281,
@@ -158,7 +168,9 @@ class TestSimulateMaxRr:
 
     @pytest.mark.parametrize("cpus, expected", [(2, 2), (7, 7), (None, 1)])
     def test_thread_count_capped_at_cores(self, monkeypatch, cpus, expected):
-        # a serial stand-in for the pool, so no real threads are started
+        # a serial stand-in for the pool, so no real threads are started; the
+        # calling thread runs one range, so the pool has one worker fewer and
+        # a one-thread run has none
         seen = []
 
         class SerialPool:
@@ -177,10 +189,32 @@ class TestSimulateMaxRr:
         cfg = SimulationConfig(nurse_count=5, shifts_per_nurse=10, mu=0.05,
                                replicates=3000, seed=5)
         serial = simulate_max_rr(cfg, 2.0, workers=1)
-        monkeypatch.setattr(risk_sim, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(risk_sim.os, "cpu_count", lambda: cpus)
         assert simulate_max_rr(cfg, 2.0, workers=1000) == serial
-        assert seen == [expected]
+        assert seen == ([expected - 1] if expected > 1 else [])
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        cfg = SimulationConfig(nurse_count=5, shifts_per_nurse=10, mu=0.05,
+                               replicates=3000, seed=5)
+
+        def refuse(self):
+            raise AssertionError(f"thread {self.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        simulate_max_rr(cfg, 2.0, workers=1)
+
+    def test_one_worker_run_leaves_concurrent_futures_unloaded(self):
+        script = (
+            "import sys\n"
+            "from rosterstat.risk_sim import SimulationConfig, simulate_max_rr\n"
+            "simulate_max_rr(SimulationConfig(5, 10, 0.05, replicates=3000), 2.0)\n"
+            "assert 'concurrent.futures' not in sys.modules, 'pool module loaded'\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 def _reference_table(mean):
@@ -399,6 +433,9 @@ class TestBlockMemory:
     def test_traced_peak_stays_within_the_budget(self, wards, I):
         cfg, threshold = _paper_run(wards, "exclude_suspect")
         assert cfg.nurse_count == I
+        # a process's first run imports numpy.random (about 0.7 MiB traced);
+        # a one-replicate run loads it before tracing starts
+        simulate_max_rr(dataclasses.replace(cfg, replicates=1), threshold)
         tracemalloc.start()
         try:
             simulate_max_rr(cfg, threshold)
