@@ -151,10 +151,20 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def not_utf8(exc: UnicodeDecodeError) -> CaseValidationError:
+    """The rejection of case-file bytes that do not decode as UTF-8."""
+    return CaseValidationError(f"case file is not UTF-8 text: byte "
+                               f"{exc.object[exc.start]:#04x} at offset {exc.start}"
+                               f" ({exc.reason})")
+
+
 def parse_case(text: str | bytes) -> CaseFile:
-    """Parse and fully validate a case file."""
+    """Parse and fully validate a case file; bytes must be UTF-8 text."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise not_utf8(exc) from None
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:

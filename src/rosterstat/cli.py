@@ -12,7 +12,13 @@ import os
 import sys
 from pathlib import Path
 
-from rosterstat.case import CaseFile, CaseValidationError, builtin_paper_case, parse_case
+from rosterstat.case import (
+    CaseFile,
+    CaseValidationError,
+    builtin_paper_case,
+    not_utf8,
+    parse_case,
+)
 from rosterstat.report import (
     METHODS,
     build_report,
@@ -69,6 +75,8 @@ def _load_case(args: argparse.Namespace) -> CaseFile:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise SystemExit(f"rosterstat: cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CaseValidationError(f"{path}: {not_utf8(exc)}") from None
     return parse_case(text)
 
 

@@ -11,6 +11,10 @@ vectors are plain ``array('d')`` buffers built with ``math`` and
 the sum of independent counts, imports it, for one ``np.convolve`` chain
 over their vectors. Each kernel converts its integer counts to floats once
 per call, which gives the same terms as int operands would, bit for bit.
+A kernel's vector is valid by construction (nonempty and non-negative,
+normalised by its own ``math.fsum`` or convolved from such vectors), so it
+is built once and handed over unchecked; a ``DiscreteDist`` built from
+outside input is copied and checked.
 Probabilities that land within 1e-12 of [0, 1] are clamped to the
 boundary; anything further out raises, because a larger excursion means a
 bug rather than rounding.
@@ -45,7 +49,13 @@ def _clamp_probability(p: float) -> float:
 
 @dataclass(frozen=True)
 class DiscreteDist:
-    """A pmf over a contiguous integer support starting at ``support_min``."""
+    """A pmf over a contiguous integer support starting at ``support_min``.
+
+    The constructor copies ``probabilities`` into an ``array('d')`` and
+    rejects an empty, negative, NaN or unnormalised vector. The kernels
+    below skip that: their vectors are valid by construction and reach
+    ``_kernel_dist`` already built as an ``array('d')``.
+    """
 
     support_min: int
     probabilities: array = field(repr=False)  # array('d')
@@ -73,6 +83,14 @@ class DiscreteDist:
         return _clamp_probability(math.fsum(upper))
 
 
+def _kernel_dist(support_min: int, probabilities: array) -> DiscreteDist:
+    """A DiscreteDist holding a kernel's own array('d'), neither copied nor checked."""
+    dist = object.__new__(DiscreteDist)
+    object.__setattr__(dist, "support_min", support_min)
+    object.__setattr__(dist, "probabilities", probabilities)
+    return dist
+
+
 def _from_log_ratios(support_min: int, log_ratios: list[float]) -> DiscreteDist:
     """The pmf whose successive ratios p(x+1)/p(x) have these logs.
 
@@ -87,7 +105,7 @@ def _from_log_ratios(support_min: int, log_ratios: list[float]) -> DiscreteDist:
     below.reverse()
     probs = list(map(math.exp, (*below, 0.0, *accumulate(log_ratios[mode:]))))
     total = math.fsum(probs)
-    return DiscreteDist(support_min, [p / total for p in probs])
+    return _kernel_dist(support_min, array("d", [p / total for p in probs]))
 
 
 def hypergeom_dist(n: int, r: int, k: int) -> DiscreteDist:
@@ -103,7 +121,7 @@ def hypergeom_dist(n: int, r: int, k: int) -> DiscreteDist:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     lo, hi = max(0, k - (n - r)), min(r, k)
     if lo == hi:  # one point: no ratio, so no count is converted to a float
-        return DiscreteDist(lo, [1.0])
+        return _kernel_dist(lo, array("d", [1.0]))
     # float(r) is the correctly rounded conversion Python makes of an int
     # operand inside a float term, so converting once leaves every term's bits.
     rf, kf, restf = float(r), float(k), float(n - r - k)
@@ -149,8 +167,12 @@ def convolve(*dists: DiscreteDist) -> DiscreteDist:
         raise ValueError("convolve needs at least one distribution")
     import numpy as np  # loaded here only, so the exact tests run without it
 
+    # Each point is a sum of products of non-negative terms, and the total is
+    # the product of the inputs' totals up to rounding, so the vector is as
+    # valid as its inputs. array("d", bytes) copies numpy's doubles in one
+    # frombytes call.
     probs = functools.reduce(np.convolve, [d.probabilities for d in dists])
-    return DiscreteDist(sum(d.support_min for d in dists), probs.tolist())
+    return _kernel_dist(sum(d.support_min for d in dists), array("d", probs.tobytes()))
 
 
 def poisson_dist(mean: float) -> DiscreteDist:
@@ -161,7 +183,7 @@ def poisson_dist(mean: float) -> DiscreteDist:
     if not (0.0 <= mean < math.inf):
         raise ValueError(f"mean must be non-negative and finite, got {mean!r}")
     if mean == 0.0:
-        return DiscreteDist(0, [1.0])
+        return _kernel_dist(0, array("d", [1.0]))
     half_width = 40.0 * math.sqrt(mean) + 800.0
     counts = range(max(0, math.floor(mean - half_width)), math.ceil(mean + half_width))
     log_mean = math.log(mean)

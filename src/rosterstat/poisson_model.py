@@ -92,7 +92,8 @@ def observed_rate(incidents: int, shifts: int) -> SuspectIntensity:
     if shifts < 1:
         raise ValueError(f"shifts must be >= 1, got {shifts}")
     if incidents < 1:
-        raise ValueError("cannot fit intensity 0 (no incidents); LR undefined")
+        raise ValueError(f"cannot fit the suspect's own intensity mu_L = 0/{shifts}"
+                         " (no incidents on the suspect's shifts); LR undefined")
     return SuspectIntensity(
         mu_L=incidents / shifts,
         rule="observed_rate",

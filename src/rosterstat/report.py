@@ -9,10 +9,12 @@ each renderer reads them in one walk, a dataclass as its fields (their
 names are read once per class). Machine output is written by that walk
 directly, byte-equal to ``json.dumps(indent=2, allow_nan=False)``, with
 ``math.inf`` spelt "Infinity": a list, tuple or dict is told by its exact
-type, and its ``str`` and finite ``float`` children are written in place,
-without a call per leaf; every rarer kind (None, bools, ints, subclasses,
-NaN, infinities, dataclasses) goes through one fallback that tests kinds in
-json's order and raises json's errors.
+type and a dataclass instance by its class's field names, whose values are
+read in place without a dict per object; their ``str``, finite ``float``,
+None and bool children are written in place, without a call per leaf. Every
+rarer kind (ints, subclasses, NaN, infinities, dataclass classes, and a
+dataclass instance the first time its class is seen) goes through one
+fallback that tests kinds in json's order and raises json's errors.
 The reproduction suite recomputes each published figure from the built-in
 case and marks a row pass/fail against its stated tolerance.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
@@ -45,15 +48,24 @@ GENERAL_CAVEATS = (
 
 
 # Each dataclass's field names, in declaration order, read once per class.
+# A class that json writes by its kind (a str, int, float, list, tuple or
+# dict subclass) is never entered, so _write never reads it as fields.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+_JSON_KINDS = (str, int, float, list, tuple, dict)
+
+
+def _field_names(cls: type) -> tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = tuple(f.name for f in fields(cls))
+        if not issubclass(cls, _JSON_KINDS):
+            _FIELD_NAMES[cls] = names
+    return names
 
 
 def _fields(obj: Any) -> dict[str, Any]:
     """A dataclass instance's (or class's) fields in declaration order, not copied."""
-    cls = obj if isinstance(obj, type) else type(obj)
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    names = _field_names(obj if isinstance(obj, type) else type(obj))
     return {name: getattr(obj, name) for name in names}
 
 
@@ -66,7 +78,8 @@ def result_entry(label: str, result: Any, **extra: Any) -> dict:
     """
     entry: dict[str, Any] = {"label": label}
     if isinstance(result, frequentist.TestResult):
-        entry.update(_fields(result))
+        for name in _field_names(type(result)):
+            entry[name] = getattr(result, name)
         entry["is_p_value"] = result.is_p_value
     else:
         entry[type(result).__name__] = result
@@ -153,7 +166,10 @@ def run_method(
         basis, fixed = _parse_mu_basis(mu_basis)
         mu = poisson_model.estimate_mu(case, basis, names, fixed_value=fixed)
         pool = pool_wards(case, names)
-        mu_l = poisson_model.observed_rate(pool.suspect_incidents, pool.suspect_shifts)
+        try:
+            mu_l = poisson_model.observed_rate(pool.suspect_incidents, pool.suspect_shifts)
+        except ValueError as exc:  # name the pooled wards, as estimate_mu's errors do
+            raise ValueError(f"{pool.name}: {exc}") from None
         lr = poisson_model.lr_poisson(mu, mu_l, pool.suspect_shifts, pool.suspect_incidents)
         return [(f"Poisson likelihood ratio over {names}", lr, {"mu": mu, "mu_L": mu_l})]
     if method == "binomial-cond":
@@ -235,10 +251,12 @@ def strict_json(doc: Any) -> str:
 def _write(value: Any, out: list[str], newline: str) -> None:
     """Append ``value`` as indented JSON; ``newline`` ends with its indent.
 
-    A list, tuple or dict is told by its exact type, and its ``str`` and
-    finite ``float`` children are written in place, without a call; every
-    rarer kind goes through ``_write_other``. ``x - x == 0.0`` holds for a
-    finite float only: it is NaN for NaN and for either infinity.
+    A list, tuple or dict is told by its exact type, and a dataclass
+    instance by its class's entry in ``_FIELD_NAMES``, whose fields are read
+    in place. Their ``str``, finite ``float``, None and bool children are
+    written in place, without a call; every rarer kind goes through
+    ``_write_other``. ``x - x == 0.0`` holds for a finite float only: it is
+    NaN for NaN and for either infinity.
     """
     kind = type(value)
     if kind is list or kind is tuple:
@@ -253,30 +271,47 @@ def _write(value: Any, out: list[str], newline: str) -> None:
                 out.append(f"{separator}{_quote(item)}")
             elif kind is float and item - item == 0.0:
                 out.append(f"{separator}{item!r}")
+            elif item is None:
+                out.append(f"{separator}null")
+            elif kind is bool:
+                out.append(f"{separator}{'true' if item else 'false'}")
             else:
                 out.append(separator)
                 _write(item, out, inner)
             separator = "," + inner
         out.append(newline + "]")
-    elif kind is dict:
+        return
+    if kind is dict:
         if not value:
             out.append("{}")
             return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in value.items():
-            kind = type(item)
-            if kind is str:
-                out.append(f"{separator}{_quote(key)}: {_quote(item)}")
-            elif kind is float and item - item == 0.0:
-                out.append(f"{separator}{_quote(key)}: {item!r}")
-            else:
-                out.append(f"{separator}{_quote(key)}: ")
-                _write(item, out, inner)
-            separator = "," + inner
-        out.append(newline + "}")
+        pairs = value.items()
     else:
-        _write_other(value, out, newline)
+        names = _FIELD_NAMES.get(kind)
+        if names is None:
+            _write_other(value, out, newline)
+            return
+        if not names:
+            out.append("{}")
+            return
+        pairs = zip(names, map(getattr, repeat(value), names))
+    inner = newline + "  "
+    separator = "{" + inner
+    for key, item in pairs:
+        kind = type(item)
+        if kind is str:
+            out.append(f"{separator}{_quote(key)}: {_quote(item)}")
+        elif kind is float and item - item == 0.0:
+            out.append(f"{separator}{_quote(key)}: {item!r}")
+        elif item is None:
+            out.append(f"{separator}{_quote(key)}: null")
+        elif kind is bool:
+            out.append(f"{separator}{_quote(key)}: {'true' if item else 'false'}")
+        else:
+            out.append(f"{separator}{_quote(key)}: ")
+            _write(item, out, inner)
+        separator = "," + inner
+    out.append(newline + "}")
 
 
 def _write_other(value: Any, out: list[str], newline: str) -> None:
@@ -300,10 +335,13 @@ def _write_other(value: Any, out: list[str], newline: str) -> None:
         _write(list(value), out, newline)
     elif isinstance(value, dict):
         _write(dict(value.items()), out, newline)
-    elif is_dataclass(value):
+    elif not is_dataclass(value):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif isinstance(value, type):
         _write(_fields(value), out, newline)
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        _field_names(type(value))  # enters the class in the table _write reads
+        _write(value, out, newline)
 
 
 def _fmt(value: Any) -> str:

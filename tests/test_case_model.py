@@ -57,6 +57,17 @@ class TestParseCase:
         case = parse_case(json.dumps(VALID_DOC).encode("utf-8"))
         assert case.case_name == "demo"
 
+    @pytest.mark.parametrize("data, where", [
+        (b"\xff{}", "byte 0xff at offset 0 (invalid start byte)"),
+        (json.dumps(VALID_DOC).encode("utf-8")[:-1] + b"\xc3",
+         "unexpected end of data"),
+        ("{\"case_name\": \"caf\u00e9\"}".encode("latin-1"), "byte 0xe9 at offset 18"),
+    ], ids=["0xff", "truncated", "latin-1"])
+    def test_bytes_that_are_not_utf8_rejected(self, data, where):
+        with pytest.raises(CaseValidationError, match="^case file is not UTF-8 text: ") as exc:
+            parse_case(data)
+        assert where in str(exc.value)
+
     def test_invariant_violation_names_ward_and_field(self):
         doc = json.loads(json.dumps(VALID_DOC))
         doc["wards"][0]["suspect_shifts"] = 2000

@@ -62,6 +62,14 @@ class TestAnalyze:
         assert code == 2
         assert "rosterstat:" in err
 
+    def test_case_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(serialize_case(builtin_paper_case("corrected")).replace(
+            "Lucia de B.", "Luc\u00eda de B.").encode("latin-1"))
+        code, out, err = run(capsys, "analyze", "--case", str(bad), "--method", "pooled")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"rosterstat: {bad}: case file is not UTF-8 text: byte 0xed ")
+
     def test_repeated_key_exits_2(self, tmp_path, capsys):
         text = serialize_case(builtin_paper_case("corrected"))
         old = '"suspect_incidents": 5'
@@ -261,6 +269,13 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == ("rosterstat: JKZ: cannot fit intensity 0 (no incidents,"
                        " basis exclude_suspect); LR undefined\n")
+
+    def test_suspect_without_incidents_names_the_wards(self, tmp_path, capsys):
+        path = self._one_ward_case(tmp_path, 40, 10, 3, 0)
+        code, out, err = run(capsys, "analyze", "--case", path, "--method", "poisson-lr")
+        assert (code, out) == (2, "")
+        assert err == ("rosterstat: A: cannot fit the suspect's own intensity mu_L = 0/10"
+                       " (no incidents on the suspect's shifts); LR undefined\n")
 
     def test_intensity_without_shifts_names_the_wards(self, tmp_path, capsys):
         path = self._one_ward_case(tmp_path, 40, 40, 3, 3)

@@ -3,12 +3,14 @@
 The oracles here never share code with the implementation: binomial and
 hypergeometric values come from big-integer fractions, the Poisson pmf
 from mpmath, and the chi-squared survival function from numerical
-quadrature of the density. The last class keeps the kernels' earlier
-expressions, with int operands inside each term, as a bit-for-bit oracle
-for the float-operand kernels.
+quadrature of the density. The float-operand class keeps the kernels'
+earlier expressions, with int operands inside each term, as a bit-for-bit
+oracle for the float-operand kernels; the last class checks that every
+vector a kernel hands over unchecked would pass the public checks.
 """
 
 import math
+from array import array
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -522,3 +524,35 @@ class TestFloatOperandKernels:
         assert outcome(binomial_vector, 10**400, 0.5)[0] is OverflowError
         assert outcome(binomial_vector, 10**400, 0.5) == (
             outcome(former_binomial_vector, 10**400, 0.5))
+
+
+class TestKernelVectorsPassThePublicChecks:
+    """The kernels skip DiscreteDist's checks; the public constructor must
+    accept each vector they build, and copy it bit for bit."""
+
+    @staticmethod
+    def assert_accepted_as_is(dist):
+        assert type(dist.probabilities) is array and dist.probabilities.typecode == "d"
+        checked = DiscreteDist(dist.support_min, dist.probabilities)
+        assert checked.probabilities is not dist.probabilities
+        assert (checked.support_min, checked.probabilities.tobytes()) == (
+            dist.support_min, dist.probabilities.tobytes())
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(wide_rosters() | rosters(max_shifts=400).map(lambda roster: roster[:3]),
+                    min_size=1, max_size=3),
+           st.integers(0, 600),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from(
+               [5e-324, 0.5, 1.0 - 2**-53, 61 / 675]),
+           st.floats(-3.0, 6.0).map(lambda e: 10.0**e) | st.just(0.0))
+    def test_every_kernel_vector(self, wards, trials, p, mean):
+        dists = []
+        for roster in wards:
+            try:
+                dists.append(hypergeom_dist(*roster))
+            except ValueError:  # past n = 2**53 a ratio can round to 0; see the bit-identity test
+                pass
+        if dists:
+            dists.append(convolve(*dists))
+        for dist in [*dists, binomial_vector(trials, p), poisson_dist(mean)]:
+            self.assert_accepted_as_is(dist)

@@ -303,6 +303,18 @@ def test_dataclass_class_without_defaults_raises_as_json_does():
     assert _outcome(strict_json, doc) == expected
 
 
+@dataclass(frozen=True)
+class Tag(str):
+    note: str = "tag"
+
+
+def test_a_dataclass_json_writes_by_its_kind_stays_that_kind():
+    doc = {"case_name": "c", "suspect": "s", "variant": "corrected", "method": "m",
+           "results": [{"label": "tagged", "Tag": Tag("ward")}], "caveats": ""}
+    assert "Tag: {note: ward}" in render_text(doc)  # the text renderer reads its fields
+    assert strict_json(doc) == json.dumps(doc, indent=2)
+
+
 @pytest.mark.parametrize("bad", [math.nan, -math.inf, Fraction(1, 3), {1, 2}],
                          ids=["nan", "-inf", "Fraction", "set"])
 def test_strict_json_raises_as_json_does(bad):
