@@ -12,13 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from rosterstat.case import (
-    CaseFile,
-    CaseValidationError,
-    builtin_paper_case,
-    not_utf8,
-    parse_case,
-)
+from rosterstat.case import CaseFile, CaseValidationError, builtin_paper_case, not_utf8, parse_case
 from rosterstat.report import (
     METHODS,
     build_report,
