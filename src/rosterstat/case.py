@@ -11,10 +11,20 @@ rejected.
 The two data variants are first-class: the headline number in the original
 analysis was computed before the RKZ-41 shift count was corrected from 1
 to 3, and the two datasets must never be conflated silently.
+
+Pooled rosters are memoized. One analysis pools the same ward list in each
+pooled method (the pooled tail, the conditional binomial, the intensity
+estimate for each basis, the relative risk), so ``pool_wards`` checks the
+names every call and keeps the last ``_POOL_MEMO_SIZE`` (32) pools, keyed
+by the tuple of named rosters; the bound caps what is kept between
+analyses. Rosters are frozen and compare by value, so cases with equal
+rosters share a pool, and the pool handed out is itself frozen. A pool
+that fails its checks keeps nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -29,6 +39,10 @@ RKZ_42 = "RKZ-42"
 # The largest count a ward may hold: every count up to 2**53 is exactly a
 # float, so each operand the kernels convert to a float is exact.
 MAX_COUNT = 2**53
+
+# One analysis pools only its own ward list; the bound caps what is kept
+# between analyses.
+_POOL_MEMO_SIZE = 32
 
 
 class CaseValidationError(ValueError):
@@ -309,9 +323,13 @@ def pool_wards(case: CaseFile, names: list[str] | tuple[str, ...]) -> WardRoster
 
     nurse_count is dropped: it is undefined for a pool of wards.
     """
-    rosters = named_wards(case, names)
+    return _pool(tuple(named_wards(case, names)))
+
+
+@functools.lru_cache(maxsize=_POOL_MEMO_SIZE)
+def _pool(rosters: tuple[WardRoster, ...]) -> WardRoster:
     return WardRoster(
-        name="+".join(names),
+        name="+".join(w.name for w in rosters),
         total_shifts=sum(w.total_shifts for w in rosters),
         suspect_shifts=sum(w.suspect_shifts for w in rosters),
         total_incidents=sum(w.total_incidents for w in rosters),

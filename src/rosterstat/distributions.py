@@ -18,6 +18,14 @@ outside input is copied and checked.
 Probabilities that land within 1e-12 of [0, 1] are clamped to the
 boundary; anything further out raises, because a larger excursion means a
 bug rather than rounding.
+
+The hypergeometric vector is memoized. One analysis reads each ward's
+vector twice (its own tail, then the convolution over wards) and the
+pool's vector once, so the last ``_MEMO_SIZE`` (32) vectors are kept,
+keyed by ``(n, r, k)`` and their types; the bound caps what is kept
+between analyses. ``hypergeom_tail`` and ``hypergeom_pmf`` read the kept
+vector in place; ``hypergeom_dist`` returns a copy, so no caller can change
+what the memo holds. A call that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 _CLAMP_TOL = 1e-12
+
+# One analysis reuses only its own wards' vectors and its pool's, a handful
+# at paper scale; the bound caps what is kept between analyses.
+_MEMO_SIZE = 32
 
 
 class ConsistencyError(ArithmeticError):
@@ -108,6 +120,25 @@ def _from_log_ratios(support_min: int, log_ratios: list[float]) -> DiscreteDist:
     return _kernel_dist(support_min, array("d", [p / total for p in probs]))
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _hypergeom_vector(n: int, r: int, k: int) -> tuple[int, array]:
+    """(support_min, pmf vector) of the hypergeometric; kept, so never written."""
+    if not (0 <= r <= n):
+        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    if not (0 <= k <= n):
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    lo, hi = max(0, k - (n - r)), min(r, k)
+    if lo == hi:  # one point: no ratio, so no count is converted to a float
+        return lo, array("d", [1.0])
+    # float(r) is the correctly rounded conversion Python makes of an int
+    # operand inside a float term, so converting once leaves every term's bits.
+    rf, kf, restf = float(r), float(k), float(n - r - k)
+    return lo, _from_log_ratios(lo, [
+        math.log((rf - x) * (kf - x) / ((x + 1.0) * (restf + x + 1.0)))
+        for x in map(float, range(lo, hi))
+    ]).probabilities
+
+
 def hypergeom_dist(n: int, r: int, k: int) -> DiscreteDist:
     """The conditional pmf of the suspect's incident count, over its support.
 
@@ -115,25 +146,13 @@ def hypergeom_dist(n: int, r: int, k: int) -> DiscreteDist:
     shifts, conditioned on the observed totals, which cancels the unknown
     per-shift incident probability.
     """
-    if not (0 <= r <= n):
-        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-    if not (0 <= k <= n):
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    lo, hi = max(0, k - (n - r)), min(r, k)
-    if lo == hi:  # one point: no ratio, so no count is converted to a float
-        return _kernel_dist(lo, array("d", [1.0]))
-    # float(r) is the correctly rounded conversion Python makes of an int
-    # operand inside a float term, so converting once leaves every term's bits.
-    rf, kf, restf = float(r), float(k), float(n - r - k)
-    return _from_log_ratios(lo, [
-        math.log((rf - x) * (kf - x) / ((x + 1.0) * (restf + x + 1.0)))
-        for x in map(float, range(lo, hi))
-    ])
+    lo, probs = _hypergeom_vector(n, r, k)
+    return _kernel_dist(lo, probs[:])
 
 
 def hypergeom_pmf(n: int, r: int, k: int, x: int) -> float:
     """P(suspect saw exactly x of the k incidents | r of n shifts were hers)."""
-    dist = hypergeom_dist(n, r, k)
+    dist = _kernel_dist(*_hypergeom_vector(n, r, k))
     if not dist.support_min <= x <= dist.support_max:
         return 0.0
     return dist.probabilities[x - dist.support_min]
@@ -141,7 +160,7 @@ def hypergeom_pmf(n: int, r: int, k: int, x: int) -> float:
 
 def hypergeom_tail(n: int, r: int, k: int, x_min: int) -> float:
     """P(suspect saw at least x_min incidents) under the conditional model."""
-    return hypergeom_dist(n, r, k).tail(x_min)
+    return _kernel_dist(*_hypergeom_vector(n, r, k)).tail(x_min)
 
 
 def binomial_tail(trials: int, success_prob: float, x_min: int) -> float:

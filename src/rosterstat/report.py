@@ -241,7 +241,9 @@ def strict_json(doc: Any) -> str:
     The text is byte-equal to ``json.dumps(doc, indent=2, allow_nan=False)``
     with a dataclass read as its fields and ``math.inf`` spelt "Infinity".
     NaN and -inf raise ValueError, and any other object TypeError, with the
-    messages json gives.
+    messages json gives. Every dict key must be a ``str``: any other key
+    (an int, float, bool or None, which json would write as a string)
+    raises TypeError. Every report the package builds has ``str`` keys.
     """
     out: list[str] = []
     _write(doc, out, "\n")
