@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rosterstat.bayes import EvidenceItem
+from rosterstat import case as case_module
 from rosterstat.case import (
     MAX_COUNT,
     VARIANTS,
@@ -328,6 +329,55 @@ class TestPoolWards:
         assert all_three.total_shifts == jkz.total_shifts + partial.total_shifts
         assert all_three.suspect_incidents == (
             jkz.suspect_incidents + partial.suspect_incidents)
+
+
+class TestPoolMemo:
+    """Pools are kept by value; the names are still checked on every call."""
+
+    CASE = CaseFile("memo", "s", (WardRoster("A", 100, 20, 6, 3),
+                                  WardRoster("B", 80, 10, 4, 1)))
+
+    def test_names_are_checked_after_a_pool_is_kept(self):
+        pool_wards(self.CASE, ["A", "B"])
+        with pytest.raises(CaseValidationError, match="named more than once"):
+            pool_wards(self.CASE, ["A", "A"])
+        with pytest.raises(CaseValidationError, match="list is empty"):
+            pool_wards(self.CASE, [])
+        with pytest.raises(KeyError, match="nope"):
+            pool_wards(self.CASE, ["nope"])
+
+    def test_equal_names_with_other_counts_pool_apart(self):
+        other = CaseFile("memo", "s", (WardRoster("A", 100, 20, 7, 3),
+                                       WardRoster("B", 80, 10, 4, 1)))
+        first, second = pool_wards(self.CASE, ["A", "B"]), pool_wards(other, ["A", "B"])
+        assert (first.name, first.total_incidents) == ("A+B", 10)
+        assert (second.name, second.total_incidents) == ("A+B", 11)
+
+    def test_cleared_and_warm_memo_agree(self):
+        case = builtin_paper_case("corrected")
+        lists = [["JKZ"], ["RKZ-41", "RKZ-42"], ["RKZ-42", "RKZ-41"], ["JKZ", "RKZ-41", "RKZ-42"]]
+        case_module._pool.cache_clear()
+        cold = [pool_wards(case, names) for names in lists]
+        assert [pool_wards(case, names) for names in lists] == cold
+        assert case_module._pool.cache_info().hits == len(lists)
+
+    def test_a_rejected_pool_keeps_nothing(self):
+        big = CaseFile("big", "s", (WardRoster("A", MAX_COUNT, 1, 1, 1),
+                                    WardRoster("B", MAX_COUNT, 1, 1, 1)))
+        case_module._pool.cache_clear()
+        for _ in range(2):
+            with pytest.raises(CaseValidationError, match="at most 2\\*\\*53"):
+                pool_wards(big, ["A", "B"])
+        assert case_module._pool.cache_info().currsize == 0
+
+    def test_the_memo_stays_within_its_bound(self):
+        bound = case_module._POOL_MEMO_SIZE
+        case_module._pool.cache_clear()
+        for n in range(10, 10 + 3 * bound):
+            case = CaseFile("c", "s", (WardRoster("A", n, 2, 1, 1),))
+            assert pool_wards(case, ["A"]).total_shifts == n
+        info = case_module._pool.cache_info()
+        assert (info.maxsize, info.currsize) == (bound, bound)
 
 
 class TestDefaultWardNames:

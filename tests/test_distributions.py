@@ -556,3 +556,52 @@ class TestKernelVectorsPassThePublicChecks:
             dists.append(convolve(*dists))
         for dist in [*dists, binomial_vector(trials, p), poisson_dist(mean)]:
             self.assert_accepted_as_is(dist)
+
+
+def hypergeom_outcomes(n, r, k):
+    """hypergeom_dist's bytes, and every tail and point value around the support."""
+    dist = hypergeom_dist(n, r, k)
+    points = range(dist.support_min - 1, dist.support_max + 2)
+    return (dist.support_min, dist.probabilities.tobytes(),
+            [hypergeom_tail(n, r, k, x).hex() for x in points],
+            [hypergeom_pmf(n, r, k, x).hex() for x in points])
+
+
+class TestHypergeomMemo:
+    """The kept vectors are never handed out, and keeping them changes no value."""
+
+    ROSTERS = [(60, 17, 9), (1029, 142, 8), (336, 3, 5), (5, 5, 3), (40, 0, 7), (2**60, 2**59, 6)]
+
+    def test_writing_a_returned_vector_changes_no_later_result(self):
+        want = hypergeom_outcomes(61, 17, 9)
+        written = hypergeom_dist(61, 17, 9)
+        for i in range(len(written.probabilities)):
+            written.probabilities[i] = 0.5
+        again = hypergeom_dist(61, 17, 9)
+        assert again.probabilities is not written.probabilities
+        assert hypergeom_outcomes(61, 17, 9) == want
+
+    def test_cleared_and_warm_memo_agree(self):
+        memo = distributions._hypergeom_vector
+        memo.cache_clear()
+        cold = [hypergeom_outcomes(*roster) for roster in self.ROSTERS]
+        assert memo.cache_info().hits > 0  # each outcome read its roster's vector again
+        assert [hypergeom_outcomes(*roster) for roster in self.ROSTERS] == cold
+
+    def test_a_rejected_roster_keeps_nothing(self):
+        memo = distributions._hypergeom_vector
+        memo.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="need 0 <= r <= n"):
+                hypergeom_tail(5, 6, 1, 0)
+        assert memo.cache_info().currsize == 0
+
+    def test_the_memo_stays_within_its_bound(self):
+        memo = distributions._hypergeom_vector
+        memo.cache_clear()
+        for n in range(20, 20 + 3 * distributions._MEMO_SIZE):
+            hypergeom_tail(n, 7, 5, 2)
+        info = memo.cache_info()
+        assert info.maxsize == distributions._MEMO_SIZE
+        assert info.currsize == info.maxsize
+        assert info.misses == 3 * distributions._MEMO_SIZE

@@ -222,3 +222,32 @@ def test_result_in_unit_interval_or_raises():
 
     with pytest.raises(ValueError):
         TestResult(method="per_ward_tail", p_value=1.2)
+
+
+def test_one_screen_builds_each_vector_and_the_pool_once():
+    """The methods of one analysis share each ward's pmf vector and one pool."""
+    from rosterstat import case as case_module
+    from rosterstat import distributions
+    from rosterstat.case import CaseFile, WardRoster
+    from rosterstat.poisson_model import conditional_binomial_test, estimate_mu
+
+    case = CaseFile("screen", "s", (WardRoster("A", 300, 40, 9, 4),
+                                    WardRoster("B", 250, 30, 7, 2),
+                                    WardRoster("C", 410, 55, 12, 5)))
+    names = ["A", "B", "C"]
+    vectors, pools = distributions._hypergeom_vector, case_module._pool
+    vectors.cache_clear()
+    pools.cache_clear()
+    before = vectors.cache_info(), pools.cache_info()
+    for ward in case.wards:
+        ward_tail_p(ward)
+    pooled_test(case, names)
+    convolved_sum_test(case, names)
+    conditional_binomial_test(case, names)
+    for basis in ("exclude_suspect", "include_suspect"):
+        estimate_mu(case, basis, names)
+    after = vectors.cache_info(), pools.cache_info()
+    # 3 wards and the pool; the convolution reads the 3 wards' vectors again.
+    assert (after[0].misses - before[0].misses, after[0].hits - before[0].hits) == (4, 3)
+    # pooled_test pools; the binomial test and both bases read that pool.
+    assert (after[1].misses - before[1].misses, after[1].hits - before[1].hits) == (1, 3)

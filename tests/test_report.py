@@ -375,3 +375,11 @@ class TestReproRowBuilders:
         # the bound itself fails, and one float inside it passes
         assert not _ordering_row("r", "p", larger, larger).passed
         assert _ordering_row("r", "p", math.nextafter(larger, -math.inf), larger).passed
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None], ids=["int", "float", "bool", "None"])
+def test_strict_json_keys_must_be_str(key):
+    """json.dumps writes these keys as strings; strict_json rejects them."""
+    assert json.dumps({key: 2}) == f'{{"{json.dumps(key)}": 2}}'
+    with pytest.raises(TypeError, match="must be a string"):
+        strict_json({key: 2})
