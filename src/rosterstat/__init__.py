@@ -13,6 +13,10 @@ counter-based and reproduces bit-identical results for any worker count.
 The engine, ``rosterstat.risk_sim``, is the one module that needs numpy at
 import, so its names are loaded on first use: importing the package, or
 running an exact method, leaves numpy unloaded.
+
+The package re-exports only what the demos, the README quick start and the
+benchmark (``perfbench/``) use. Everything else is imported from its own
+module, for example ``from rosterstat.distributions import hypergeom_tail``.
 """
 
 from rosterstat.bayes import (
@@ -28,20 +32,8 @@ from rosterstat.case import (
     builtin_paper_case,
     parse_case,
     pool_wards,
-    serialize_case,
-)
-from rosterstat.distributions import (
-    DiscreteDist,
-    binomial_tail,
-    chi2_survival_even,
-    convolve,
-    hypergeom_dist,
-    hypergeom_pmf,
-    hypergeom_tail,
-    poisson_dist,
 )
 from rosterstat.frequentist import (
-    TestResult,
     bonferroni_min,
     convolved_sum_test,
     elffers_pipeline,
@@ -50,20 +42,13 @@ from rosterstat.frequentist import (
     ward_tail_p,
 )
 from rosterstat.poisson_model import (
-    IntensityEstimate,
-    LikelihoodRatio,
-    SuspectIntensity,
     conditional_binomial_test,
     estimate_mu,
     lr_poisson,
     observed_rate,
-    verbal_scale,
 )
 
 _RISK_SIM_NAMES = frozenset({
-    "RelativeRisk",
-    "SimulationConfig",
-    "SimulationReport",
     "derive_sim_config",
     "exact_max_rr_tail",
     "observed_threshold",
@@ -87,45 +72,28 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CaseFile",
-    "DiscreteDist",
     "EvidenceItem",
-    "IntensityEstimate",
-    "LikelihoodRatio",
     "OddsState",
-    "RelativeRisk",
-    "SimulationConfig",
-    "SimulationReport",
-    "SuspectIntensity",
-    "TestResult",
     "WardRoster",
-    "binomial_tail",
     "bonferroni_min",
     "builtin_paper_case",
-    "chi2_survival_even",
     "conditional_binomial_test",
-    "convolve",
     "convolved_sum_test",
     "derive_sim_config",
     "elffers_pipeline",
     "estimate_mu",
     "exact_max_rr_tail",
     "fisher_combine",
-    "hypergeom_dist",
-    "hypergeom_pmf",
-    "hypergeom_tail",
     "lr_poisson",
     "observed_rate",
     "observed_threshold",
     "odds_from_probability",
     "parse_case",
-    "poisson_dist",
     "pool_wards",
     "pooled_test",
     "posterior_probability",
     "relative_risk",
-    "serialize_case",
     "simulate_max_rr",
     "update",
-    "verbal_scale",
     "ward_tail_p",
 ]

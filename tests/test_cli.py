@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -414,6 +415,30 @@ def test_fifty_thousand_wards_finish_in_bounded_time(tmp_path):
     assert result["components"][0][0] == "+".join(w["name"] for w in wards)
 
 
+# The names the demos, the README quick start and perfbench reach through
+# the package; every other public name is imported from its own module.
+PUBLIC_NAMES = [
+    "CaseFile", "EvidenceItem", "OddsState", "WardRoster", "bonferroni_min",
+    "builtin_paper_case", "conditional_binomial_test", "convolved_sum_test",
+    "derive_sim_config", "elffers_pipeline", "estimate_mu", "exact_max_rr_tail",
+    "fisher_combine", "lr_poisson", "observed_rate", "observed_threshold",
+    "odds_from_probability", "parse_case", "pool_wards", "pooled_test",
+    "posterior_probability", "relative_risk", "simulate_max_rr", "update",
+    "ward_tail_p",
+]
+MODULE_ONLY_NAMES = [
+    ("distributions", "DiscreteDist"), ("distributions", "binomial_tail"),
+    ("distributions", "chi2_survival_even"), ("distributions", "convolve"),
+    ("distributions", "hypergeom_dist"), ("distributions", "hypergeom_pmf"),
+    ("distributions", "hypergeom_tail"), ("distributions", "poisson_dist"),
+    ("frequentist", "TestResult"), ("poisson_model", "IntensityEstimate"),
+    ("poisson_model", "LikelihoodRatio"), ("poisson_model", "SuspectIntensity"),
+    ("poisson_model", "verbal_scale"), ("case", "serialize_case"),
+    ("risk_sim", "RelativeRisk"), ("risk_sim", "SimulationConfig"),
+    ("risk_sim", "SimulationReport"),
+]
+
+
 class TestNumpyStaysOut:
     """Only convolved and relative-risk need numpy; nothing else loads it.
 
@@ -450,8 +475,13 @@ class TestNumpyStaysOut:
         assert not hasattr(rosterstat, "no_such_name")
         namespace: dict = {}
         exec("from rosterstat import *", namespace)
-        assert len(rosterstat.__all__) == 42
-        assert [n for n in rosterstat.__all__ if n not in namespace] == []
+        assert rosterstat.__all__ == PUBLIC_NAMES
+        assert sorted(n for n in namespace if n != "__builtins__") == PUBLIC_NAMES
+
+    @pytest.mark.parametrize("module, name", MODULE_ONLY_NAMES)
+    def test_module_only_name_is_not_reexported(self, module, name):
+        assert not hasattr(rosterstat, name)
+        assert hasattr(importlib.import_module(f"rosterstat.{module}"), name)
 
 
 def test_cli_offers_the_report_layers_methods_in_order():
