@@ -73,18 +73,8 @@ def odds_from_probability(p: float) -> float:
 
 
 def update(state: OddsState, evidence: EvidenceItem) -> OddsState:
-    """Apply one evidence item, multiplying the posterior odds by its LR.
-
-    One multiplication: the state's posterior is already the fold of its
-    items, so the result equals ``OddsState(prior, applied + (evidence,))``
-    bit for bit, overflow message included.
-    """
-    posterior = _times_lr(state.posterior_odds, evidence)
-    new = object.__new__(OddsState)  # skips __post_init__, which would refold
-    object.__setattr__(new, "prior_odds", state.prior_odds)
-    object.__setattr__(new, "applied", state.applied + (evidence,))
-    object.__setattr__(new, "posterior_odds", posterior)
-    return new
+    """Apply one evidence item, multiplying the posterior odds by its LR."""
+    return OddsState(state.prior_odds, state.applied + (evidence,))
 
 
 def posterior_probability(state: OddsState) -> float:

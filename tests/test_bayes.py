@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosterstat import bayes
 from rosterstat.bayes import (
     EvidenceItem,
     OddsState,
@@ -71,20 +70,6 @@ class TestUpdate:
     def test_applied_items_recorded(self):
         state = chain(1e-5, DE_VOS_LRS)
         assert [e.lr for e in state.applied] == list(DE_VOS_LRS)
-
-    def test_each_update_multiplies_once(self, monkeypatch):
-        calls = []
-
-        def spy(odds, item):
-            calls.append(item.label)
-            return odds * item.lr
-
-        state = OddsState(prior_odds=1e-5, applied=(EvidenceItem("E0", 2.0),))
-        monkeypatch.setattr(bayes, "_times_lr", spy)
-        for i, lr in enumerate(DE_VOS_LRS):
-            state = update(state, EvidenceItem(f"E{i + 1}", lr))
-            assert calls == [f"E{i + 1}"]
-            calls.clear()
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(prior=st.floats(min_value=1e-300, max_value=1e300),
