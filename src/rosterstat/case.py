@@ -12,19 +12,12 @@ The two data variants are first-class: the headline number in the original
 analysis was computed before the RKZ-41 shift count was corrected from 1
 to 3, and the two datasets must never be conflated silently.
 
-Pooled rosters are memoized. One analysis pools the same ward list in each
-pooled method (the pooled tail, the conditional binomial, the intensity
-estimate for each basis, the relative risk), so ``pool_wards`` checks the
-names every call and keeps the last ``_POOL_MEMO_SIZE`` (32) pools, keyed
-by the tuple of named rosters; the bound caps what is kept between
-analyses. Rosters are frozen and compare by value, so cases with equal
-rosters share a pool, and the pool handed out is itself frozen. A pool
-that fails its checks keeps nothing.
+Each case keeps its pooled rosters, keyed by the ward names, so the pooled
+methods of one analysis share one pool, which is freed with its case.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -39,10 +32,6 @@ RKZ_42 = "RKZ-42"
 # The largest count a ward may hold: every count up to 2**53 is exactly a
 # float, so each operand the kernels convert to a float is exact.
 MAX_COUNT = 2**53
-
-# One analysis pools only its own ward list; the bound caps what is kept
-# between analyses.
-_POOL_MEMO_SIZE = 32
 
 
 class CaseValidationError(ValueError):
@@ -116,6 +105,7 @@ class CaseFile:
             raise CaseValidationError(
                 f"ward names must be unique, got {[w.name for w in self.wards]}")
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_pools", {})
 
     def ward(self, name: str) -> WardRoster:
         w = self._by_name.get(name)
@@ -185,6 +175,8 @@ def parse_case(text: str | bytes) -> CaseFile:
         raise CaseValidationError(
             f"malformed case file at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise CaseValidationError("case file nests too deeply to parse") from None
     if not isinstance(raw, dict):
         raise CaseValidationError("case file must be a JSON object")
     unknown = set(raw) - _CASE_KEYS
@@ -319,20 +311,20 @@ def named_wards(case: CaseFile, names: list[str] | tuple[str, ...]) -> list[Ward
 
 
 def pool_wards(case: CaseFile, names: list[str] | tuple[str, ...]) -> WardRoster:
-    """Component-wise sum of the named wards' counts.
+    """Component-wise sum of the named wards' counts, kept in the case.
 
     nurse_count is dropped: it is undefined for a pool of wards.
     """
-    return _pool(tuple(named_wards(case, names)))
-
-
-@functools.lru_cache(maxsize=_POOL_MEMO_SIZE)
-def _pool(rosters: tuple[WardRoster, ...]) -> WardRoster:
-    return WardRoster(
-        name="+".join(w.name for w in rosters),
-        total_shifts=sum(w.total_shifts for w in rosters),
-        suspect_shifts=sum(w.suspect_shifts for w in rosters),
-        total_incidents=sum(w.total_incidents for w in rosters),
-        suspect_incidents=sum(w.suspect_incidents for w in rosters),
-        nurse_count=None,
-    )
+    key = tuple(names)
+    pool = case._pools.get(key)
+    if pool is None:
+        rosters = named_wards(case, key)
+        pool = case._pools[key] = WardRoster(
+            name="+".join(w.name for w in rosters),
+            total_shifts=sum(w.total_shifts for w in rosters),
+            suspect_shifts=sum(w.suspect_shifts for w in rosters),
+            total_incidents=sum(w.total_incidents for w in rosters),
+            suspect_incidents=sum(w.suspect_incidents for w in rosters),
+            nurse_count=None,
+        )
+    return pool

@@ -133,10 +133,13 @@ def _hypergeom_vector(n: int, r: int, k: int) -> tuple[int, array]:
     # float(r) is the correctly rounded conversion Python makes of an int
     # operand inside a float term, so converting once leaves every term's bits.
     rf, kf, restf = float(r), float(k), float(n - r - k)
-    return lo, _from_log_ratios(lo, [
-        math.log((rf - x) * (kf - x) / ((x + 1.0) * (restf + x + 1.0)))
-        for x in map(float, range(lo, hi))
-    ]).probabilities
+    try:
+        log_ratios = [math.log((rf - x) * (kf - x) / ((x + 1.0) * (restf + x + 1.0)))
+                      for x in map(float, range(lo, hi))]
+    except ValueError:  # a ratio rounded to 0 or below
+        raise ValueError(f"hypergeometric pmf of n={n}, r={r}, k={k} cannot be built: "
+                         f"counts past 2**53 round when converted to floats") from None
+    return lo, _from_log_ratios(lo, log_ratios).probabilities
 
 
 def hypergeom_dist(n: int, r: int, k: int) -> DiscreteDist:
@@ -181,7 +184,11 @@ def binomial_tail(trials: int, success_prob: float, x_min: int) -> float:
 
 
 def convolve(*dists: DiscreteDist) -> DiscreteDist:
-    """The distribution of the sum of independent variables with these pmfs."""
+    """The distribution of the sum of independent variables with these pmfs.
+
+    ``np.convolve`` sums each point's products through numpy's BLAS dot, in no
+    fixed order, so a point's last bit depends on the numpy build and the CPU.
+    """
     if not dists:
         raise ValueError("convolve needs at least one distribution")
     import numpy as np  # loaded here only, so the exact tests run without it

@@ -1,11 +1,12 @@
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rosterstat.bayes import EvidenceItem
-from rosterstat import case as case_module
 from rosterstat.case import (
     MAX_COUNT,
     VARIANTS,
@@ -78,6 +79,10 @@ class TestParseCase:
     def test_malformed_syntax_reports_line(self):
         with pytest.raises(CaseValidationError, match="line"):
             parse_case('{"case_name": "x",\n  "oops\n}')
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(CaseValidationError, match="nests too deeply"):
+            parse_case("[" * 100_000 + "]" * 100_000)
 
     def test_unknown_top_level_key_rejected(self):
         doc = dict(VALID_DOC, extra=1)
@@ -332,7 +337,7 @@ class TestPoolWards:
 
 
 class TestPoolMemo:
-    """Pools are kept by value; the names are still checked on every call."""
+    """Each case keeps its own pools, keyed by names; only valid names are kept."""
 
     CASE = CaseFile("memo", "s", (WardRoster("A", 100, 20, 6, 3),
                                   WardRoster("B", 80, 10, 4, 1)))
@@ -353,31 +358,33 @@ class TestPoolMemo:
         assert (first.name, first.total_incidents) == ("A+B", 10)
         assert (second.name, second.total_incidents) == ("A+B", 11)
 
-    def test_cleared_and_warm_memo_agree(self):
+    LISTS = [["JKZ"], ["RKZ-41", "RKZ-42"], ["RKZ-42", "RKZ-41"], ["JKZ", "RKZ-41", "RKZ-42"]]
+
+    def test_a_list_and_a_tuple_of_the_same_names_get_the_same_pool(self):
         case = builtin_paper_case("corrected")
-        lists = [["JKZ"], ["RKZ-41", "RKZ-42"], ["RKZ-42", "RKZ-41"], ["JKZ", "RKZ-41", "RKZ-42"]]
-        case_module._pool.cache_clear()
-        cold = [pool_wards(case, names) for names in lists]
-        assert [pool_wards(case, names) for names in lists] == cold
-        assert case_module._pool.cache_info().hits == len(lists)
+        first = [pool_wards(case, names) for names in self.LISTS]
+        assert all(pool_wards(case, names) is pool for names, pool in zip(self.LISTS, first))
+        assert all(pool_wards(case, tuple(names)) is pool
+                   for names, pool in zip(self.LISTS, first))
+
+    def test_a_fresh_equal_case_pools_equally(self):
+        pools = [pool_wards(builtin_paper_case("corrected"), names) for names in self.LISTS]
+        assert [pool_wards(builtin_paper_case("corrected"), names)
+                for names in self.LISTS] == pools
 
     def test_a_rejected_pool_keeps_nothing(self):
         big = CaseFile("big", "s", (WardRoster("A", MAX_COUNT, 1, 1, 1),
                                     WardRoster("B", MAX_COUNT, 1, 1, 1)))
-        case_module._pool.cache_clear()
         for _ in range(2):
             with pytest.raises(CaseValidationError, match="at most 2\\*\\*53"):
                 pool_wards(big, ["A", "B"])
-        assert case_module._pool.cache_info().currsize == 0
 
-    def test_the_memo_stays_within_its_bound(self):
-        bound = case_module._POOL_MEMO_SIZE
-        case_module._pool.cache_clear()
-        for n in range(10, 10 + 3 * bound):
-            case = CaseFile("c", "s", (WardRoster("A", n, 2, 1, 1),))
-            assert pool_wards(case, ["A"]).total_shifts == n
-        info = case_module._pool.cache_info()
-        assert (info.maxsize, info.currsize) == (bound, bound)
+    def test_a_pool_is_released_with_its_case(self):
+        case = CaseFile("gone", "s", (WardRoster("A", 90, 12, 5, 2),))
+        pool = weakref.ref(pool_wards(case, ["A"]))
+        del case
+        gc.collect()
+        assert pool() is None
 
 
 class TestDefaultWardNames:

@@ -415,6 +415,18 @@ def test_fifty_thousand_wards_finish_in_bounded_time(tmp_path):
     assert result["components"][0][0] == "+".join(w["name"] for w in wards)
 
 
+def test_deeply_nested_case_file_exits_2_without_a_traceback(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"case_name": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "rosterstat.cli", "analyze", "--case", str(path),
+         "--method", "pooled"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("rosterstat:") and "Traceback" not in done.stderr
+
+
 # The names the demos, the README quick start and perfbench reach through
 # the package; every other public name is imported from its own module.
 PUBLIC_NAMES = [

@@ -483,6 +483,16 @@ def outcome(dist_of, *args):
     return dist.support_min, dist.probabilities.tobytes()
 
 
+def assert_hypergeom_matches_the_former_kernel(n, r, k):
+    """Same bytes or same exception; where the former kernel's math.log
+    failed, the same type with a message that names the roster."""
+    now, former = outcome(hypergeom_dist, n, r, k), outcome(former_hypergeom_dist, n, r, k)
+    if former == (ValueError, "math domain error"):
+        assert now[0] is ValueError and f"n={n}, r={r}, k={k} cannot be built" in now[1]
+    else:
+        assert now == former
+
+
 @st.composite
 def wide_rosters(draw):
     """(n, r, k), n up to 2**53 and past it, whose support has at most 200 points.
@@ -501,14 +511,22 @@ class TestFloatOperandKernels:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(wide_rosters() | rosters(max_shifts=400).map(lambda roster: roster[:3]))
     def test_hypergeom_vector_is_bit_identical(self, roster):
-        assert outcome(hypergeom_dist, *roster) == outcome(former_hypergeom_dist, *roster)
+        assert_hypergeom_matches_the_former_kernel(*roster)
 
     @pytest.mark.parametrize("roster", [
         (10**400, 0, 0), (10**400, 10**400, 5), (10**400, 5, 10**400), (10**400, 1, 1),
         (10**400, 10**400 - 5, 3), (2**53 + 1, 2**52, 7), (2**1100, 2**1099, 2),
     ])
     def test_unbounded_counts_match_the_former_kernel(self, roster):
-        assert outcome(hypergeom_dist, *roster) == outcome(former_hypergeom_dist, *roster)
+        assert_hypergeom_matches_the_former_kernel(*roster)
+
+    def test_a_vector_that_rounds_past_2_53_names_its_roster(self):
+        roster = (53108094010586720, 53108094010586719, 53108094010586578)
+        assert outcome(former_hypergeom_dist, *roster) == (ValueError, "math domain error")
+        assert outcome(hypergeom_dist, *roster) == (ValueError, (
+            "hypergeometric pmf of n=53108094010586720, r=53108094010586719, "
+            "k=53108094010586578 cannot be built: counts past 2**53 round when "
+            "converted to floats"))
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.integers(0, 600),

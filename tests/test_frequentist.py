@@ -224,21 +224,27 @@ def test_result_in_unit_interval_or_raises():
         TestResult(method="per_ward_tail", p_value=1.2)
 
 
-def test_one_screen_builds_each_vector_and_the_pool_once():
+def test_one_screen_builds_each_vector_and_the_pool_once(monkeypatch):
     """The methods of one analysis share each ward's pmf vector and one pool."""
     from rosterstat import case as case_module
     from rosterstat import distributions
-    from rosterstat.case import CaseFile, WardRoster
+    from rosterstat.case import CaseFile, WardRoster, pool_wards
     from rosterstat.poisson_model import conditional_binomial_test, estimate_mu
 
     case = CaseFile("screen", "s", (WardRoster("A", 300, 40, 9, 4),
                                     WardRoster("B", 250, 30, 7, 2),
                                     WardRoster("C", 410, 55, 12, 5)))
     names = ["A", "B", "C"]
-    vectors, pools = distributions._hypergeom_vector, case_module._pool
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(WardRoster(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(case_module, "WardRoster", build)
+    vectors = distributions._hypergeom_vector
     vectors.cache_clear()
-    pools.cache_clear()
-    before = vectors.cache_info(), pools.cache_info()
+    before = vectors.cache_info(), len(built)
     for ward in case.wards:
         ward_tail_p(ward)
     pooled_test(case, names)
@@ -246,8 +252,8 @@ def test_one_screen_builds_each_vector_and_the_pool_once():
     conditional_binomial_test(case, names)
     for basis in ("exclude_suspect", "include_suspect"):
         estimate_mu(case, basis, names)
-    after = vectors.cache_info(), pools.cache_info()
+    after = vectors.cache_info(), len(built)
     # 3 wards and the pool; the convolution reads the 3 wards' vectors again.
     assert (after[0].misses - before[0].misses, after[0].hits - before[0].hits) == (4, 3)
     # pooled_test pools; the binomial test and both bases read that pool.
-    assert (after[1].misses - before[1].misses, after[1].hits - before[1].hits) == (1, 3)
+    assert after[1] - before[1] == 1 and pool_wards(case, names) is built[-1]
