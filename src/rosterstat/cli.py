@@ -13,17 +13,13 @@ import sys
 from pathlib import Path
 
 from rosterstat.case import CaseFile, CaseValidationError, builtin_paper_case, not_utf8, parse_case
-from rosterstat.report import (
-    METHODS,
-    build_report,
-    render_machine,
-    render_repro_table,
-    render_text,
-    reproduce_paper,
-    result_entry,
-    run_method,
-    strict_json,
+
+# The --method choices, in report order; report.run_method rejects any other.
+METHODS = (
+    "elffers", "per-ward", "bonferroni", "pooled", "convolved", "fisher",
+    "poisson-lr", "binomial-cond", "bayes", "relative-risk",
 )
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -76,6 +72,10 @@ def _load_case(args: argparse.Namespace) -> CaseFile:
 
 def _analyze(args: argparse.Namespace) -> int:
     case = _load_case(args)
+    # the analysis layers load only once the case file has been accepted
+    from rosterstat.report import (
+        build_report, render_machine, render_text, result_entry, run_method)
+
     if args.wards:
         names = [name.strip() for name in args.wards.split(",") if name.strip()]
     else:
@@ -92,6 +92,8 @@ def _analyze(args: argparse.Namespace) -> int:
 
 
 def _reproduce(args: argparse.Namespace) -> int:
+    from rosterstat.report import render_repro_table, reproduce_paper, strict_json
+
     rows = reproduce_paper(seed=args.seed, replicates=args.replicates)
     if args.output == "machine":
         print(strict_json({"results": rows}))

@@ -109,12 +109,6 @@ def _parse_mu_basis(spec: str) -> tuple[str, float | None]:
     )
 
 
-METHODS = (
-    "elffers", "per-ward", "bonferroni", "pooled", "convolved", "fisher",
-    "poisson-lr", "binomial-cond", "bayes", "relative-risk",
-)
-
-
 def run_method(
     case: CaseFile,
     method: str,

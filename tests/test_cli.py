@@ -363,15 +363,20 @@ class TestAnalyze:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs rosterstat.cli.main on the given arguments in a fresh interpreter,
-# then fails (exit 1) if numpy or fractions was loaded along the way.
-NUMPY_GUARD = """
+# then fails (exit 1) if any of the named modules was loaded along the way.
+GUARD = """
 import sys
 import rosterstat.cli
 code = rosterstat.cli.main(sys.argv[1:])
-assert "numpy" not in sys.modules, "numpy was imported"
-assert "fractions" not in sys.modules, "fractions was imported"
+loaded = [name for name in {unloaded!r} if name in sys.modules]
+assert not loaded, f"{{loaded}} imported"
 sys.exit(code)
 """
+NUMPY_GUARD = GUARD.format(unloaded=("numpy", "fractions"))
+# Everything an analysis needs past parsing the case file.
+LAYER_GUARD = GUARD.format(unloaded=(
+    "numpy", "fractions", "rosterstat.report", "rosterstat.frequentist",
+    "rosterstat.poisson_model", "rosterstat.distributions", "rosterstat.risk_sim"))
 
 
 def run_fresh(script, *argv):
@@ -473,13 +478,14 @@ class TestNumpyStaysOut:
         doc["evidence"] = 5
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
-        done = run_fresh(NUMPY_GUARD, "analyze", "--case", str(bad), "--method", "pooled")
+        done = run_fresh(LAYER_GUARD, "analyze", "--case", str(bad), "--method", "pooled")
         assert done.returncode == 2, done.stderr
         assert done.stderr == "rosterstat: case file: evidence must be an array, got 5\n"
 
     def test_bare_import(self):
         done = run_fresh("import sys, rosterstat; "
-                         "assert 'numpy' not in sys.modules and 'fractions' not in sys.modules")
+                         "assert 'numpy' not in sys.modules and 'fractions' not in sys.modules; "
+                         "assert not [m for m in sys.modules if m.startswith('rosterstat.')]")
         assert done.returncode == 0, done.stderr
 
     def test_risk_sim_names_still_resolve(self):
@@ -490,6 +496,15 @@ class TestNumpyStaysOut:
         assert rosterstat.__all__ == PUBLIC_NAMES
         assert sorted(n for n in namespace if n != "__builtins__") == PUBLIC_NAMES
 
+    @pytest.mark.parametrize("name", rosterstat.__all__)
+    def test_public_name_is_its_defining_modules_object(self, monkeypatch, name):
+        monkeypatch.delitem(vars(rosterstat), name, raising=False)  # so this is a first use
+        first = getattr(rosterstat, name)
+        defining = importlib.import_module(first.__module__)
+        assert first is getattr(defining, name)
+        assert vars(rosterstat)[name] is first
+        assert getattr(rosterstat, name) is getattr(defining, name)
+
     @pytest.mark.parametrize("module, name", MODULE_ONLY_NAMES)
     def test_module_only_name_is_not_reexported(self, module, name):
         assert not hasattr(rosterstat, name)
@@ -497,10 +512,15 @@ class TestNumpyStaysOut:
 
 
 def test_cli_offers_the_report_layers_methods_in_order():
-    assert cli.METHODS is report.METHODS
     assert cli.METHODS == (
         "elffers", "per-ward", "bonferroni", "pooled", "convolved", "fisher",
         "poisson-lr", "binomial-cond", "bayes", "relative-risk")
+    case = builtin_paper_case("corrected")
+    names = case.default_ward_names()
+    for method in cli.METHODS:
+        assert report.run_method(case, method, names, jkz_multiplier=27, replicates=200)
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        report.run_method(case, "nope", names)
 
 
 class TestReproducePaper:
@@ -532,7 +552,7 @@ class TestReproducePaper:
             raise ValueError(f"non-standard JSON constant {name}")
 
         row = ReproRow("rr", "inf", float("inf"), "exact", True)
-        monkeypatch.setattr("rosterstat.cli.reproduce_paper", lambda **_: [row])
+        monkeypatch.setattr("rosterstat.report.reproduce_paper", lambda **_: [row])
         code, out, _ = run(capsys, "reproduce-paper", "--output", "machine")
         assert code == 0
         assert json.loads(out, parse_constant=reject)["results"][0]["computed"] == "Infinity"
