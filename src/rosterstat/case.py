@@ -5,8 +5,8 @@ A case file is UTF-8 JSON with top-level keys ``case_name``, ``suspect``,
 ``total_shifts``, ``suspect_shifts``, ``total_incidents``,
 ``suspect_incidents`` and optionally ``nurse_count``. An optional top-level
 ``evidence`` array (objects with ``label``, ``lr``, ``provenance``) feeds
-the Bayesian chain. Unknown keys, and a key repeated in one object, are
-rejected.
+the Bayesian chain. Unknown keys, a key repeated in one object, and the
+non-standard tokens NaN, Infinity and -Infinity are rejected.
 
 The two data variants are first-class: the headline number in the original
 analysis was computed before the RKZ-41 shift count was corrected from 1
@@ -59,8 +59,11 @@ class WardRoster:
         k, x = self.total_incidents, self.suspect_incidents
         if n <= 0:
             raise CaseValidationError(f"{self.name}: total_shifts must be positive, got {n}")
-        if r < 0 or k < 0 or x < 0:
-            raise CaseValidationError(f"{self.name}: counts must be non-negative")
+        for key, value in (("suspect_shifts", r), ("total_incidents", k),
+                           ("suspect_incidents", x)):
+            if value < 0:
+                raise CaseValidationError(f"{self.name}: {key} must be non-negative, "
+                                          f"got {value}")
         for key in (*_COUNT_KEYS, "nurse_count"):
             value = getattr(self, key)
             if value is not None and value > MAX_COUNT:
@@ -155,6 +158,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def _no_constant(token: str) -> float:
+    """json.loads reads NaN, Infinity and -Infinity; strict JSON has no such token."""
+    raise CaseValidationError(f"case file uses {token}, which is not strict JSON")
+
+
 def not_utf8(exc: UnicodeDecodeError) -> CaseValidationError:
     """The rejection of case-file bytes that do not decode as UTF-8."""
     return CaseValidationError(f"case file is not UTF-8 text: byte "
@@ -170,7 +178,7 @@ def parse_case(text: str | bytes) -> CaseFile:
         except UnicodeDecodeError as exc:
             raise not_utf8(exc) from None
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        raw = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise CaseValidationError(
             f"malformed case file at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -221,6 +229,8 @@ def parse_case(text: str | bytes) -> CaseFile:
             lr = float(_require(entry, "lr", where, (int, float), "a number"))
         except OverflowError:
             raise CaseValidationError(f"{where}: lr is too large") from None
+        if not 0.0 < lr < float("inf"):
+            raise CaseValidationError(f"{where}: lr must be positive and finite, got {lr!r}")
         evidence.append(EvidenceItem(
             label=_require(entry, "label", where, str, "a string"),
             lr=lr,

@@ -195,8 +195,12 @@ def lr_poisson(
         raise ValueError(f"k_j must be >= 0, got {k_j}")
     a, b = mu.ratio
     c, d = mu_L.ratio
-    log_lr = (a * d - c * b) * r_j / (b * d) + k_j * (math.log(c / d) - math.log(a / b))
-    value = math.exp(log_lr)
+    try:
+        log_lr = (a * d - c * b) * r_j / (b * d) + k_j * (math.log(c / d) - math.log(a / b))
+        value = math.exp(log_lr)
+    except OverflowError:
+        raise ValueError(f"the likelihood ratio at mu = {mu.mu!r} and mu_L = {mu_L.mu_L!r} "
+                         "is outside the float range") from None
     if a * d == c * b:
         value = 1.0
     direction = NEUTRAL if value == 1.0 else (

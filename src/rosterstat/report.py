@@ -7,20 +7,14 @@ each analysis method; ``analyze`` and the reproduction suite both call it.
 A report is a plain dict that holds the frozen result objects themselves;
 each renderer reads them in one walk, a dataclass as its fields (their
 names are read once per class). Machine output is written by that walk
-directly, byte-equal to ``json.dumps(indent=2, allow_nan=False)``, with
-``math.inf`` spelt "Infinity": a list, tuple or dict is told by its exact
-type and a dataclass instance by its class's field names, whose values are
-read in place without a dict per object; their ``str``, finite ``float``,
-None and bool children are written in place, without a call per leaf. Every
-rarer kind (ints, subclasses, NaN, infinities, dataclass classes, and a
-dataclass instance the first time its class is seen) goes through one
-fallback that tests kinds in json's order and raises json's errors.
+directly, as strict JSON, for the kinds a report holds (see strict_json).
 The reproduction suite recomputes each published figure from the built-in
 case and marks a row pass/fail against its stated tolerance.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import repeat
@@ -48,25 +42,14 @@ GENERAL_CAVEATS = (
 
 
 # Each dataclass's field names, in declaration order, read once per class.
-# A class that json writes by its kind (a str, int, float, list, tuple or
-# dict subclass) is never entered, so _write never reads it as fields.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
-_JSON_KINDS = (str, int, float, list, tuple, dict)
 
 
 def _field_names(cls: type) -> tuple[str, ...]:
     names = _FIELD_NAMES.get(cls)
     if names is None:
-        names = tuple(f.name for f in fields(cls))
-        if not issubclass(cls, _JSON_KINDS):
-            _FIELD_NAMES[cls] = names
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
     return names
-
-
-def _fields(obj: Any) -> dict[str, Any]:
-    """A dataclass instance's (or class's) fields in declaration order, not copied."""
-    names = _field_names(obj if isinstance(obj, type) else type(obj))
-    return {name: getattr(obj, name) for name in names}
 
 
 def result_entry(label: str, result: Any, **extra: Any) -> dict:
@@ -233,11 +216,12 @@ def strict_json(doc: Any) -> str:
     """``doc`` as strict JSON, written in one walk.
 
     The text is byte-equal to ``json.dumps(doc, indent=2, allow_nan=False)``
-    with a dataclass read as its fields and ``math.inf`` spelt "Infinity".
-    NaN and -inf raise ValueError, and any other object TypeError, with the
-    messages json gives. Every dict key must be a ``str``: any other key
-    (an int, float, bool or None, which json would write as a string)
-    raises TypeError. Every report the package builds has ``str`` keys.
+    with a dataclass instance read as its fields and ``math.inf`` spelt
+    "Infinity". Each kind is told by its exact type: a dict with ``str``
+    keys, a list, a tuple, a dataclass instance, and ``str``, ``int``,
+    ``float``, bool and None. NaN and -inf raise json's ValueError; any
+    other object, a subclass of these kinds or a dataclass class included,
+    raises TypeError, as does a dict key that is not a ``str``.
     """
     out: list[str] = []
     _write(doc, out, "\n")
@@ -250,7 +234,7 @@ def _write(value: Any, out: list[str], newline: str) -> None:
     A list, tuple or dict is told by its exact type, and a dataclass
     instance by its class's entry in ``_FIELD_NAMES``, whose fields are read
     in place. Their ``str``, finite ``float``, None and bool children are
-    written in place, without a call; every rarer kind goes through
+    written in place, without a call; every other value goes through
     ``_write_other``. ``x - x == 0.0`` holds for a finite float only: it is
     NaN for NaN and for either infinity.
     """
@@ -311,40 +295,28 @@ def _write(value: Any, out: list[str], newline: str) -> None:
 
 
 def _write_other(value: Any, out: list[str], newline: str) -> None:
-    """Append any other value, testing its kind in the order json does."""
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, float):
-        if value != value or value == -math.inf:
-            raise ValueError(
-                f"Out of range float values are not JSON compliant: {value!r}")
-        out.append('"Infinity"' if value == math.inf else float.__repr__(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        _write(list(value), out, newline)
-    elif isinstance(value, dict):
-        _write(dict(value.items()), out, newline)
-    elif not is_dataclass(value):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    elif isinstance(value, type):
-        _write(_fields(value), out, newline)
-    else:
-        _field_names(type(value))  # enters the class in the table _write reads
+    """Append an int, an infinity, a leaf at the top or a dataclass instance."""
+    kind = type(value)
+    if kind is int:
+        out.append(repr(value))
+    elif kind is float and value - value != 0.0:  # NaN or an infinity
+        if value != math.inf:
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append('"Infinity"')
+    elif kind is str or kind is float or kind is bool or value is None:
+        out.append(json.dumps(value))
+    elif is_dataclass(kind):
+        _field_names(kind)  # enters the class in the table _write reads
         _write(value, out, newline)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
-    if is_dataclass(value):
-        value = _fields(value)
+    if is_dataclass(type(value)):
+        value = {name: getattr(value, name) for name in _field_names(type(value))}
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}: {_fmt(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):

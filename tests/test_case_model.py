@@ -43,6 +43,10 @@ VALID_DOC = {
 }
 
 
+class Token(str):
+    """JSON text that a test writes into a case file unquoted."""
+
+
 class TestParseCase:
     def test_accepts_valid_document(self):
         case = parse_case(json.dumps(VALID_DOC))
@@ -164,8 +168,18 @@ class TestParseCase:
         (("evidence", 1, "lr"), "0.5", "evidence #1: lr must be a number"),
         (("evidence", 1, "lr"), True, "evidence #1: lr must be a number"),
         (("evidence", 1, "lr"), 10**400, "evidence #1: lr is too large"),
+        (("evidence", 1, "lr"), 0, r"^evidence #1: lr must be positive and finite, got 0\.0$"),
+        (("evidence", 0, "lr"), -2, r"^evidence #0: lr must be positive and finite, got -2\.0$"),
+        (("evidence", 1, "lr"), Token("1e400"),
+         "^evidence #1: lr must be positive and finite, got inf$"),
+        (("evidence", 1, "lr"), Token("NaN"), "^case file uses NaN, which is not strict JSON$"),
+        (("evidence", 1, "lr"), Token("Infinity"),
+         "^case file uses Infinity, which is not strict JSON$"),
+        (("wards", 0, "total_shifts"), Token("-Infinity"),
+         "^case file uses -Infinity, which is not strict JSON$"),
     ], ids=["wards", "evidence", "case_name", "suspect", "variant", "ward-name",
-            "label", "provenance", "lr-string", "lr-bool", "lr-huge-int"])
+            "label", "provenance", "lr-string", "lr-bool", "lr-huge-int", "lr-zero",
+            "lr-negative", "lr-past-the-float-range", "NaN", "Infinity", "-Infinity"])
     def test_wrong_json_type_rejected(self, path, value, message):
         doc = json.loads(json.dumps(VALID_DOC))
         doc["evidence"] = [{"label": "E1", "lr": 0.5, "provenance": "expert"},
@@ -174,8 +188,11 @@ class TestParseCase:
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
+        text = json.dumps(doc)
+        if isinstance(value, Token):
+            text = text.replace(json.dumps(value), value)
         with pytest.raises(CaseValidationError, match=message):
-            parse_case(json.dumps(doc))
+            parse_case(text)
 
 
 @st.composite
@@ -254,6 +271,13 @@ class TestWardRoster:
         wards = (WardRoster("A", 2**53, 1, 1, 1), WardRoster("B", 1, 0, 0, 0))
         with pytest.raises(CaseValidationError, match=r"^A\+B: total_shifts must be at most"):
             pool_wards(CaseFile("c", "s", wards), ["A", "B"])
+
+    @pytest.mark.parametrize("key", ["suspect_shifts", "total_incidents", "suspect_incidents"])
+    def test_negative_count_names_its_field(self, key):
+        counts = dict(total_shifts=10, suspect_shifts=2, total_incidents=2, suspect_incidents=1)
+        with pytest.raises(CaseValidationError) as raised:
+            WardRoster("A", **dict(counts, **{key: -1}))
+        assert str(raised.value) == f"A: {key} must be non-negative, got -1"
 
     def test_rejects_incidents_beyond_other_shifts(self):
         with pytest.raises(CaseValidationError, match="other nurses"):

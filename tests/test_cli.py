@@ -128,6 +128,15 @@ class TestAnalyze:
         value = json.loads(out)["results"][0]["LikelihoodRatio"]["value"]
         assert value == pytest.approx(90.66, abs=0.05)
 
+    @pytest.mark.parametrize("mu", ["1e300", "1e308", "1e-300", "5e-324"])
+    def test_likelihood_ratio_past_the_float_range_exits_2(self, capsys, mu):
+        code, out, err = run(capsys, "analyze", "--builtin", "corrected",
+                             "--method", "poisson-lr", "--mu-basis", f"fixed={mu}")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"rosterstat: the likelihood ratio at mu = {float(mu)!r} "
+                              "and mu_L = ")
+        assert err.endswith(" is outside the float range\n") and "Traceback" not in err
+
     @pytest.mark.parametrize("method", ["poisson-lr", "relative-risk"])
     @pytest.mark.parametrize("spec", [
         "bogus", "fixed=abc", "fixed=", "fixed=inf", "fixed=-inf", "fixed=nan",

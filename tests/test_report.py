@@ -193,29 +193,6 @@ class Empty:
     pass
 
 
-@dataclass(frozen=True)
-class Defaults:
-    note: str = "class default"
-    level: int = 3
-
-
-class Text(str):
-    pass
-
-
-class Real(float):
-    def __repr__(self):
-        return f"Real({float.__repr__(self)})"
-
-
-class Level(IntEnum):
-    LOW = 1
-    HIGH = 2**70
-
-
-Pair = namedtuple("Pair", "left right")
-
-
 def _simulation_reports():
     # mu * shifts_per_nurse stays within SimulationConfig's bound of 10**6
     configs = st.builds(SimulationConfig, nurse_count=st.integers(2, 10**6),
@@ -232,9 +209,6 @@ JSON_LEAVES = (
     st.text() | st.integers(-(2**200), 2**200) | st.booleans() | st.none()
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.inf])
-    | st.text().map(Text) | st.floats(allow_nan=False, allow_infinity=False).map(Real)
-    | st.sampled_from([Real(math.inf), Level.LOW, Level.HIGH])
-    | st.sampled_from([Empty, Defaults])
     | st.builds(Empty) | _simulation_reports()
     | st.builds(OddsState, prior_odds=st.floats(1e-300, 1e290),
                 applied=st.lists(st.builds(EvidenceItem, label=st.text(),
@@ -244,9 +218,7 @@ JSON_LEAVES = (
 JSON_TREES = st.recursive(
     JSON_LEAVES,
     lambda children: (st.lists(children) | st.lists(children).map(tuple)
-                      | st.dictionaries(st.text(), children) | st.builds(Box, children)
-                      | st.builds(Pair, children, children)
-                      | st.dictionaries(st.text(), children).map(OrderedDict)),
+                      | st.dictionaries(st.text(), children) | st.builds(Box, children)),
     max_leaves=40,
 )
 
@@ -256,8 +228,8 @@ JSON_TREES = st.recursive(
 @example({"caf\u00e9 \U0001f600": ["\x00\x1f\"\\/\u2028", "", -0.0, 5e-324, 2**70],
           "nested": {"empty list": [], "empty dict": {}, "empty tuple": (),
                      "empty dataclass": Empty(), "inf": math.inf}})
-@example([[[]], [{}], ((),), {"a": {"b": []}}, Box([]), Box({}), [Empty()], Pair([], {}),
-          OrderedDict(), [Text(""), Real(-0.0), Real(math.inf), Level.HIGH], Defaults, Empty])
+@example([[[]], [{}], ((),), {"a": {"b": []}}, Box([]), Box({}), [Empty()], Empty(), 2**70])
+@example(math.inf)
 def test_strict_json_writes_the_bytes_json_dumps_writes(doc):
     assert strict_json(doc) == _reference_strict_json(doc)
 
@@ -266,7 +238,7 @@ def _outcome(render, doc):
     """The text rendered, or the type and message of the error raised."""
     try:
         return render(doc)
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError) as exc:
         return type(exc), str(exc)
 
 
@@ -276,7 +248,7 @@ def _oracle_error(doc):
     return expected.type, str(expected.value)
 
 
-OUT_OF_RANGE = st.sampled_from([math.nan, -math.inf, Real(math.nan), Real(-math.inf)])
+OUT_OF_RANGE = st.sampled_from([math.nan, -math.inf])
 HOLDS_OUT_OF_RANGE = (
     st.tuples(st.lists(JSON_LEAVES, max_size=3), OUT_OF_RANGE,
               st.lists(JSON_LEAVES, max_size=3)).map(lambda t: [*t[0], t[1], *t[2]])
@@ -296,23 +268,30 @@ def test_out_of_range_children_raise_as_json_does(before, holder, after):
     assert _outcome(strict_json, doc) == expected
 
 
-def test_dataclass_class_without_defaults_raises_as_json_does():
-    doc = {"classes": [Defaults, Box]}
-    expected = _outcome(_reference_strict_json, doc)
-    assert expected[0] is AttributeError
-    assert _outcome(strict_json, doc) == expected
+class Text(str):
+    pass
 
 
-@dataclass(frozen=True)
-class Tag(str):
-    note: str = "tag"
+class Real(float):
+    def __repr__(self):
+        return f"Real({float.__repr__(self)})"
 
 
-def test_a_dataclass_json_writes_by_its_kind_stays_that_kind():
-    doc = {"case_name": "c", "suspect": "s", "variant": "corrected", "method": "m",
-           "results": [{"label": "tagged", "Tag": Tag("ward")}], "caveats": ""}
-    assert "Tag: {note: ward}" in render_text(doc)  # the text renderer reads its fields
-    assert strict_json(doc) == json.dumps(doc, indent=2)
+class Level(IntEnum):
+    HIGH = 2**70
+
+
+@pytest.mark.parametrize("value", [
+    Text("ward"), Real(0.5), Level.HIGH, namedtuple("Pair", "left right")(1, 2),
+    OrderedDict(a=1), Box,
+], ids=["str subclass", "float subclass", "IntEnum", "namedtuple", "OrderedDict",
+        "dataclass class"])
+def test_a_kind_no_report_holds_raises_type_error_naming_its_type(value):
+    """Each kind is told by its exact type, so a subclass or a class is refused."""
+    message = f"^Object of type {type(value).__name__} is not JSON serializable$"
+    for doc in (value, {"results": [1.0, Box({"deep": value})]}):
+        with pytest.raises(TypeError, match=message):
+            strict_json(doc)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf, Fraction(1, 3), {1, 2}],
