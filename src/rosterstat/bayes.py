@@ -1,9 +1,11 @@
 """Bayesian odds chaining over independent evidence items.
 
 posterior odds = prior odds x product of likelihood ratios. Each update is
-immutable and the chain is order-independent. The independence of the
-evidence items is an assumption the caller must own; it is recorded on the
-state so reports can display it.
+immutable. The product is formed in the order the evidence is given and is
+rejected at the item where it leaves the float range, so an order whose
+partial products stay in range may pass where another is rejected. The
+independence of the evidence items is an assumption the caller must own; it
+is recorded on the state so reports can display it.
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ class OddsState:
 
 
 def _times_lr(odds: float, item: EvidenceItem) -> float:
-    """odds x item.lr; a product past the float range raises ValueError."""
+    """odds x item.lr; a product that overflows or underflows raises ValueError."""
     product = odds * item.lr
-    if math.isinf(product):
+    if not 0.0 < product < math.inf:
         raise ValueError(
-            f"posterior odds overflow the float range after evidence {item.label!r} "
+            f"posterior odds {'overflow' if product else 'underflow'} the float "
+            f"range after evidence {item.label!r} "
             f"(odds {odds!r} x likelihood ratio {item.lr!r})"
         )
     return product

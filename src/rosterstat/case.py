@@ -113,7 +113,7 @@ class CaseFile:
     def ward(self, name: str) -> WardRoster:
         w = self._by_name.get(name)
         if w is None:
-            raise KeyError(f"no ward named {name!r} in case {self.case_name!r}")
+            raise CaseValidationError(f"no ward named {name!r} in case {self.case_name!r}")
         return w
 
     def default_ward_names(self) -> list[str]:
@@ -281,8 +281,6 @@ def builtin_paper_case(variant: str = "corrected") -> CaseFile:
     both. The evidence list carries the four independent items used in the
     published Bayesian chain.
     """
-    if variant not in VARIANTS:
-        raise CaseValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     rkz41_shifts = 3 if variant == "corrected" else 1
     wards = (
         WardRoster(JKZ, 1029, 142, 8, 8, nurse_count=27),
@@ -307,8 +305,8 @@ def builtin_paper_case(variant: str = "corrected") -> CaseFile:
 def named_wards(case: CaseFile, names: list[str] | tuple[str, ...]) -> list[WardRoster]:
     """The named wards of a case, in the order named.
 
-    Raises CaseValidationError when no ward is named or one is named twice,
-    and KeyError for a name the case does not have.
+    Raises CaseValidationError when no ward is named, one is named twice,
+    or one is a name the case does not have.
     """
     if not names:
         raise CaseValidationError("no ward named: the ward list is empty")

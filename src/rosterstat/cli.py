@@ -109,10 +109,8 @@ def main(argv: list[str] | None = None) -> int:
         code = _analyze(args) if args.command == "analyze" else _reproduce(args)
         sys.stdout.flush()  # so a closed pipe raises here, not at exit
         return code
-    except (CaseValidationError, ValueError, KeyError) as exc:
-        # str() of a KeyError is the repr of its message, quotes and all
-        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
-        print(f"rosterstat: {message}", file=sys.stderr)
+    except ValueError as exc:  # CaseValidationError is one
+        print(f"rosterstat: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader left (say, `| head`): the final flush must not fail again

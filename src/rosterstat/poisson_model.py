@@ -102,24 +102,26 @@ def observed_rate(incidents: int, shifts: int) -> SuspectIntensity:
     )
 
 
-def estimate_mu(
-    case: CaseFile,
-    basis: str,
-    names: Sequence[str],
-    fixed_value: float | None = None,
-) -> IntensityEstimate:
+def estimate_mu(case: CaseFile, basis: str, names: Sequence[str]) -> IntensityEstimate:
     """Estimate the background intensity over the named wards (pooled).
 
-    Bases: 'exclude_suspect' uses the other nurses' incidents and shifts
-    (the prosecution's convention); 'include_suspect' uses all of them (the
-    defence's); 'fixed' takes fixed_value verbatim and reads no ward.
+    basis is the --mu-basis spec, read here before any ward:
+    'exclude_suspect' uses the other nurses' incidents and shifts (the
+    prosecution's convention); 'include_suspect' uses all of them (the
+    defence's), each also spelt with a dash; 'fixed=<value>' takes a finite
+    positive value verbatim and reads no ward.
     """
-    if basis not in MU_BASES:
-        raise ValueError(f"basis must be one of {MU_BASES}, got {basis!r}")
-    if basis == "fixed":
-        if fixed_value is None:
-            raise ValueError("basis 'fixed' requires fixed_value")
-        return IntensityEstimate(mu=float(fixed_value), basis="fixed")
+    if basis.startswith("fixed="):
+        try:
+            value = float(basis[len("fixed="):])
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and value > 0:
+            return IntensityEstimate(mu=value, basis="fixed")
+    spec, basis = basis, basis.replace("-", "_")
+    if basis not in ("exclude_suspect", "include_suspect"):
+        raise ValueError(f"unknown --mu-basis {spec!r}; expected exclude-suspect, "
+                         "include-suspect or fixed=<finite positive number>")
     pool = pool_wards(case, names)
     if basis == "include_suspect":
         numerator = pool.total_incidents

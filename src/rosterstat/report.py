@@ -76,22 +76,6 @@ METHOD_CAVEATS = {
 }
 
 
-def _parse_mu_basis(spec: str) -> tuple[str, float | None]:
-    if spec.startswith("fixed="):
-        try:
-            value = float(spec.split("=", 1)[1])
-        except ValueError:
-            value = math.nan
-        if math.isfinite(value) and value > 0:
-            return "fixed", value
-    elif spec.replace("-", "_") in ("exclude_suspect", "include_suspect"):
-        return spec.replace("-", "_"), None
-    raise ValueError(
-        f"unknown --mu-basis {spec!r}; expected exclude-suspect, "
-        "include-suspect or fixed=<finite positive number>"
-    )
-
-
 def run_method(
     case: CaseFile,
     method: str,
@@ -108,8 +92,9 @@ def run_method(
 
     Returns (label, result, extra fields) triples in report order; pass each
     to result_entry. The defaults are those of ``rosterstat analyze``.
-    mu_basis is 'exclude-suspect', 'include-suspect' or 'fixed=<value>' and
-    is parsed only by the methods that read it. The choices the package
+    mu_basis is the spec that poisson_model.estimate_mu reads (see there); it
+    is passed unread to the two methods that use it, 'poisson-lr' and
+    'relative-risk', and ignored by the rest. The choices the package
     never defaults, a JKZ multiplier for 'elffers' and an evidence array for
     'bayes', raise ValueError when missing. Every method checks the ward list
     first, through case.named_wards.
@@ -140,8 +125,7 @@ def run_method(
         tails = [frequentist.ward_tail_p(w).p_value for w in wards]
         return [(f"Fisher combination over {names}", frequentist.fisher_combine(tails), {})]
     if method == "poisson-lr":
-        basis, fixed = _parse_mu_basis(mu_basis)
-        mu = poisson_model.estimate_mu(case, basis, names, fixed_value=fixed)
+        mu = poisson_model.estimate_mu(case, mu_basis, names)
         pool = pool_wards(case, names)
         try:
             mu_l = poisson_model.observed_rate(pool.suspect_incidents, pool.suspect_shifts)
@@ -166,10 +150,9 @@ def run_method(
     if method == "relative-risk":
         from rosterstat import risk_sim  # imports numpy, so only when needed
 
-        basis, fixed = _parse_mu_basis(mu_basis)
         threshold = risk_sim.observed_threshold(case, names)
         cfg = risk_sim.derive_sim_config(
-            case, names, basis, replicates=replicates, seed=seed, fixed_value=fixed)
+            case, names, mu_basis, replicates=replicates, seed=seed)
         sim = risk_sim.simulate_max_rr(cfg, threshold.value, workers=workers)
         return [(f"observed relative risk over {names}", threshold, {}),
                 ("null calibration of the maximum relative risk", sim, {})]

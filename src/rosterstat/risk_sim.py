@@ -108,7 +108,7 @@ class SimulationConfig:
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -301,14 +301,14 @@ def derive_sim_config(
     mu_basis: str,
     replicates: int = 100_000,
     seed: int = 0,
-    fixed_value: float | None = None,
 ) -> SimulationConfig:
     """Build the equal-shift null configuration for the named wards.
 
     Every simulated nurse gets the suspect's shift count r; the nurse count
     is n/r rounded to nearest (the true head count is unknown, only total
     shifts are). Non-integral ratios are logged with both values. A nurse
-    count outside 2..10**6 is rejected naming the wards and n/r.
+    count outside 2..10**6 is rejected naming the wards and n/r; then mu is
+    estimated from mu_basis, the same spec estimate_mu reads.
     """
     pool = pool_wards(case, ward_names)
     n, r = pool.total_shifts, pool.suspect_shifts
@@ -324,7 +324,7 @@ def derive_sim_config(
             "non-integral shifts ratio for %s: n/r = %d/%d = %.4f, using I = %d",
             pool.name, n, r, ratio, nurse_count,
         )
-    mu = estimate_mu(case, mu_basis, names=ward_names, fixed_value=fixed_value)
+    mu = estimate_mu(case, mu_basis, ward_names)
     return SimulationConfig(
         nurse_count=nurse_count,
         shifts_per_nurse=r,

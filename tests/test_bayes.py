@@ -142,3 +142,14 @@ class TestOverflow:
     def test_largest_finite_product_is_kept(self):
         state = update(OddsState(prior_odds=1e8), EvidenceItem("big", 1e300))
         assert state.posterior_odds == 1e308
+
+    def test_underflow_to_zero_names_the_item(self):
+        items = (EvidenceItem("a", 5e-324), EvidenceItem("b", 0.5))
+        with pytest.raises(ValueError, match="posterior odds underflow .* after evidence 'b'"):
+            OddsState(prior_odds=1.0, applied=items)
+
+    def test_product_is_formed_in_the_given_order(self):
+        lrs = (1e200, 1e200, 1e-300)
+        with pytest.raises(ValueError, match="overflow"):
+            chain(1.0, lrs)
+        assert chain(1.0, lrs[::-1]).posterior_odds == pytest.approx(1e100)

@@ -14,6 +14,7 @@ from rosterstat.case import (
     CaseValidationError,
     WardRoster,
     builtin_paper_case,
+    named_wards,
     parse_case,
     pool_wards,
     serialize_case,
@@ -338,7 +339,7 @@ class TestPoolWards:
             pool_wards(builtin_paper_case("corrected"), [])
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(CaseValidationError):
             pool_wards(builtin_paper_case("corrected"), ["RKZ-43"])
 
     def test_order_independent(self):
@@ -360,6 +361,17 @@ class TestPoolWards:
             jkz.suspect_incidents + partial.suspect_incidents)
 
 
+@pytest.mark.parametrize("lookup", [
+    lambda case, name: case.ward(name),
+    lambda case, name: named_wards(case, ["RKZ-41", name]),
+    lambda case, name: pool_wards(case, ["RKZ-41", name]),
+], ids=["ward", "named_wards", "pool_wards"])
+def test_unknown_ward_is_a_case_error_naming_ward_and_case(lookup):
+    with pytest.raises(CaseValidationError) as info:
+        lookup(builtin_paper_case("corrected"), "RKZ-43")
+    assert str(info.value) == "no ward named 'RKZ-43' in case 'Lucia de B.'"
+
+
 class TestPoolMemo:
     """Each case keeps its own pools, keyed by names; only valid names are kept."""
 
@@ -372,7 +384,7 @@ class TestPoolMemo:
             pool_wards(self.CASE, ["A", "A"])
         with pytest.raises(CaseValidationError, match="list is empty"):
             pool_wards(self.CASE, [])
-        with pytest.raises(KeyError, match="nope"):
+        with pytest.raises(CaseValidationError, match="nope"):
             pool_wards(self.CASE, ["nope"])
 
     def test_equal_names_with_other_counts_pool_apart(self):

@@ -176,6 +176,29 @@ class TestAnalyze:
         assert err.startswith("rosterstat: posterior odds overflow")
         assert "'huge two'" in err
 
+    def test_bayes_underflow_exits_2_with_nothing_on_stdout(self, tmp_path, capsys):
+        doc = json.loads(serialize_case(builtin_paper_case("corrected")))
+        doc["evidence"] = [{"label": "tiny one", "lr": 5e-324},
+                           {"label": "tiny two", "lr": 5e-324}]
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--case", str(path),
+                             "--method", "bayes", "--output", "machine")
+        assert (code, out) == (2, "")
+        assert err.startswith("rosterstat: posterior odds underflow the float range "
+                              "after evidence ")
+        assert "'tiny one'" in err
+
+    @pytest.mark.parametrize("command", [
+        ("analyze", "--builtin", "corrected", "--method", "relative-risk"),
+        ("reproduce-paper",),
+    ], ids=["analyze", "reproduce-paper"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_is_named(self, capsys, command, seed):
+        code, out, err = run(capsys, *command, "--seed", str(seed), "--replicates", "100")
+        assert (code, out) == (2, "")
+        assert err == f"rosterstat: seed must fit in 64 unsigned bits, got {seed}\n"
+
     def test_relative_risk_method(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "corrected",
                            "--method", "relative-risk", "--seed", "5",

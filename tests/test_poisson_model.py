@@ -45,15 +45,29 @@ class TestEstimateMu:
         assert estimate_mu(case, "include_suspect", ["RKZ-42"]).ratio == (14, 339)
 
     def test_fixed_value(self, case):
-        mu = estimate_mu(case, "fixed", RKZ, fixed_value=0.05)
+        mu = estimate_mu(case, "fixed=0.05", RKZ)
         assert mu.mu == 0.05
         assert mu.basis == "fixed"
         assert mu.ratio == (0.05).as_integer_ratio()
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
     def test_fixed_value_must_be_positive_and_finite(self, case, value):
-        with pytest.raises(ValueError, match="positive and finite"):
-            estimate_mu(case, "fixed", RKZ, fixed_value=value)
+        with pytest.raises(ValueError, match="positive number"):
+            estimate_mu(case, f"fixed={value!r}", RKZ)
+
+    @pytest.mark.parametrize("basis", ["exclude_suspect", "include_suspect"])
+    def test_dash_and_underscore_spellings_agree(self, case, basis):
+        assert estimate_mu(case, basis.replace("_", "-"), RKZ) == estimate_mu(case, basis, RKZ)
+
+    @pytest.mark.parametrize("spec", [
+        "bogus", "fixed=abc", "fixed=", "fixed=inf", "fixed=-inf", "fixed=nan",
+        "fixed=0", "fixed=-0.5",
+    ])
+    def test_bad_spec_rejected_with_the_flag_message(self, case, spec):
+        with pytest.raises(ValueError) as info:
+            estimate_mu(case, spec, RKZ)
+        assert str(info.value) == (f"unknown --mu-basis {spec!r}; expected exclude-suspect, "
+                                   "include-suspect or fixed=<finite positive number>")
 
     def test_zero_incidents_rejected(self):
         from rosterstat.case import CaseFile, WardRoster
