@@ -14,12 +14,17 @@ to 3, and the two datasets must never be conflated silently.
 
 Each case keeps its pooled rosters, keyed by the ward names, so the pooled
 methods of one analysis share one pool, which is freed with its case.
+
+serialize_case writes a case back as an indented case file: every field of
+CaseFile, WardRoster and EvidenceItem in its declaration order (so
+``variant`` follows ``wards``), leaving out a ward's ``nurse_count`` when it
+is None and ``evidence`` when it is empty.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from rosterstat.bayes import EvidenceItem
 
@@ -247,29 +252,12 @@ def parse_case(text: str | bytes) -> CaseFile:
 
 def serialize_case(case: CaseFile) -> str:
     """Render a CaseFile back to its file format (round-trips parse_case)."""
-    wards = []
-    for w in case.wards:
-        entry = {
-            "name": w.name,
-            "total_shifts": w.total_shifts,
-            "suspect_shifts": w.suspect_shifts,
-            "total_incidents": w.total_incidents,
-            "suspect_incidents": w.suspect_incidents,
-        }
-        if w.nurse_count is not None:
-            entry["nurse_count"] = w.nurse_count
-        wards.append(entry)
-    doc: dict = {
-        "case_name": case.case_name,
-        "suspect": case.suspect,
-        "variant": case.variant,
-        "wards": wards,
-    }
-    if case.evidence:
-        doc["evidence"] = [
-            {"label": e.label, "lr": e.lr, "provenance": e.provenance}
-            for e in case.evidence
-        ]
+    doc = asdict(case)
+    for ward in doc["wards"]:
+        if ward["nurse_count"] is None:
+            del ward["nurse_count"]
+    if not doc["evidence"]:
+        del doc["evidence"]
     return json.dumps(doc, indent=2)
 
 

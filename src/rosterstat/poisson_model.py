@@ -11,6 +11,7 @@ which is one correctly rounded integer division per float.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +20,10 @@ from rosterstat.distributions import binomial_tail
 from rosterstat.frequentist import TestResult
 
 MU_BASES = ("exclude_suspect", "include_suspect", "fixed")
+
+# The value of a fixed= spec: float() alone would also read digit-group
+# underscores, outer whitespace and non-ASCII digits.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 FAVORS_PROSECUTION = "favors_prosecution"
 FAVORS_DEFENCE = "favors_defence"
@@ -109,13 +114,11 @@ def estimate_mu(case: CaseFile, basis: str, names: Sequence[str]) -> IntensityEs
     'exclude_suspect' uses the other nurses' incidents and shifts (the
     prosecution's convention); 'include_suspect' uses all of them (the
     defence's), each also spelt with a dash; 'fixed=<value>' takes a finite
-    positive value verbatim and reads no ward.
+    positive value verbatim and reads no ward, where <value> is an ASCII
+    decimal literal such as 0.05 or 2e-3, with no '_' and no whitespace.
     """
-    if basis.startswith("fixed="):
-        try:
-            value = float(basis[len("fixed="):])
-        except ValueError:
-            value = math.nan
+    if basis.startswith("fixed=") and _DECIMAL.fullmatch(basis, len("fixed=")):
+        value = float(basis[len("fixed="):])
         if math.isfinite(value) and value > 0:
             return IntensityEstimate(mu=value, basis="fixed")
     spec, basis = basis, basis.replace("-", "_")
@@ -203,8 +206,6 @@ def lr_poisson(
     except OverflowError:
         raise ValueError(f"the likelihood ratio at mu = {mu.mu!r} and mu_L = {mu_L.mu_L!r} "
                          "is outside the float range") from None
-    if a * d == c * b:
-        value = 1.0
     direction = NEUTRAL if value == 1.0 else (
         FAVORS_PROSECUTION if value > 1.0 else FAVORS_DEFENCE
     )

@@ -5,9 +5,10 @@ was computed on, and a caveat block stating the conditioning assumptions,
 so no number can be quoted without its model scope. run_method computes
 each analysis method; ``analyze`` and the reproduction suite both call it.
 A report is a plain dict that holds the frozen result objects themselves;
-each renderer reads them in one walk, a dataclass as its fields (their
-names are read once per class). Machine output is written by that walk
-directly, as strict JSON, for the kinds a report holds (see strict_json).
+each renderer reads them in one walk, a dataclass as its fields, named by
+its class's ``__dataclass_fields__`` in declaration order. Machine output
+is written by that walk directly, as strict JSON, for the kinds a report
+holds (see strict_json).
 The reproduction suite recomputes each published figure from the built-in
 case and marks a row pass/fail against its stated tolerance.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
@@ -41,17 +42,6 @@ GENERAL_CAVEATS = (
 )
 
 
-# Each dataclass's field names, in declaration order, read once per class.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
-
-
-def _field_names(cls: type) -> tuple[str, ...]:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
-    return names
-
-
 def result_entry(label: str, result: Any, **extra: Any) -> dict:
     """A labelled result and its extra fields, as one report entry.
 
@@ -61,7 +51,7 @@ def result_entry(label: str, result: Any, **extra: Any) -> dict:
     """
     entry: dict[str, Any] = {"label": label}
     if isinstance(result, frequentist.TestResult):
-        for name in _field_names(type(result)):
+        for name in type(result).__dataclass_fields__:
             entry[name] = getattr(result, name)
         entry["is_p_value"] = result.is_p_value
     else:
@@ -215,7 +205,7 @@ def _write(value: Any, out: list[str], newline: str) -> None:
     """Append ``value`` as indented JSON; ``newline`` ends with its indent.
 
     A list, tuple or dict is told by its exact type, and a dataclass
-    instance by its class's entry in ``_FIELD_NAMES``, whose fields are read
+    instance by its class's ``__dataclass_fields__``, whose fields are read
     in place. Their ``str``, finite ``float``, None and bool children are
     written in place, without a call; every other value goes through
     ``_write_other``. ``x - x == 0.0`` holds for a finite float only: it is
@@ -250,7 +240,7 @@ def _write(value: Any, out: list[str], newline: str) -> None:
             return
         pairs = value.items()
     else:
-        names = _FIELD_NAMES.get(kind)
+        names = getattr(kind, "__dataclass_fields__", None)
         if names is None:
             _write_other(value, out, newline)
             return
@@ -278,7 +268,7 @@ def _write(value: Any, out: list[str], newline: str) -> None:
 
 
 def _write_other(value: Any, out: list[str], newline: str) -> None:
-    """Append an int, an infinity, a leaf at the top or a dataclass instance."""
+    """Append an int, an infinity or a leaf at the top."""
     kind = type(value)
     if kind is int:
         out.append(repr(value))
@@ -288,9 +278,6 @@ def _write_other(value: Any, out: list[str], newline: str) -> None:
         out.append('"Infinity"')
     elif kind is str or kind is float or kind is bool or value is None:
         out.append(json.dumps(value))
-    elif is_dataclass(kind):
-        _field_names(kind)  # enters the class in the table _write reads
-        _write(value, out, newline)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -298,8 +285,9 @@ def _write_other(value: Any, out: list[str], newline: str) -> None:
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
-    if is_dataclass(type(value)):
-        value = {name: getattr(value, name) for name in _field_names(type(value))}
+    names = getattr(type(value), "__dataclass_fields__", None)
+    if names is not None:
+        value = {name: getattr(value, name) for name in names}
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}: {_fmt(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):

@@ -140,7 +140,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("method", ["poisson-lr", "relative-risk"])
     @pytest.mark.parametrize("spec", [
         "bogus", "fixed=abc", "fixed=", "fixed=inf", "fixed=-inf", "fixed=nan",
-        "fixed=0", "fixed=-0.5",
+        "fixed=0", "fixed=-0.5", "fixed=0_05", "fixed= 0.05", "fixed=0.05 ", "fixed=\u0661",
     ])
     def test_bad_mu_basis_names_the_flag(self, capsys, method, spec):
         code, out, err = run(capsys, "analyze", "--builtin", "corrected", "--method",

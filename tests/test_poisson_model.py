@@ -61,7 +61,7 @@ class TestEstimateMu:
 
     @pytest.mark.parametrize("spec", [
         "bogus", "fixed=abc", "fixed=", "fixed=inf", "fixed=-inf", "fixed=nan",
-        "fixed=0", "fixed=-0.5",
+        "fixed=0", "fixed=-0.5", "fixed=0_05", "fixed= 0.05", "fixed=0.05 ", "fixed=\u0661",
     ])
     def test_bad_spec_rejected_with_the_flag_message(self, case, spec):
         with pytest.raises(ValueError) as info:

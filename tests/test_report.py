@@ -7,8 +7,10 @@ checked against the encoder it replaced: a walk that reads a dataclass as
 its fields, then ``json.dumps(indent=2, allow_nan=False)``.
 """
 
+import importlib
 import json
 import math
+import pkgutil
 from collections import OrderedDict, namedtuple
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from enum import IntEnum
@@ -19,12 +21,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rosterstat
 from rosterstat import frequentist
 from rosterstat.bayes import EvidenceItem, OddsState, posterior_probability, update
 from rosterstat.case import JKZ, RKZ_41, RKZ_42, VARIANTS, CaseFile, WardRoster
 from rosterstat.report import (
     GENERAL_CAVEATS,
     METHOD_CAVEATS,
+    ReproRow,
     _interval_row,
     _near_row,
     _ordering_row,
@@ -362,3 +366,21 @@ def test_strict_json_keys_must_be_str(key):
     assert json.dumps({key: 2}) == f'{{"{json.dumps(key)}": 2}}'
     with pytest.raises(TypeError, match="must be a string"):
         strict_json({key: 2})
+
+
+def test_every_dataclass_field_table_lists_its_fields_only():
+    """The renderers read a record's names from ``__dataclass_fields__``.
+
+    That table also lists a ClassVar or InitVar pseudo-field, which
+    ``dataclasses.fields`` leaves out; no record the package defines has one.
+    """
+    classes = [
+        value
+        for info in pkgutil.iter_modules(rosterstat.__path__)
+        for value in vars(importlib.import_module(f"rosterstat.{info.name}")).values()
+        if isinstance(value, type) and is_dataclass(value)
+        and value.__module__ == f"rosterstat.{info.name}"
+    ]
+    assert ReproRow in classes and SimulationReport in classes
+    for cls in classes:
+        assert tuple(cls.__dataclass_fields__) == tuple(f.name for f in fields(cls)), cls
