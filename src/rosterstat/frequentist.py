@@ -11,6 +11,7 @@ Fisher's chi-squared combination of independent p-values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,6 +76,8 @@ def elffers_pipeline(case: CaseFile, jkz_multiplier: int) -> TestResult:
     """
     if jkz_multiplier < 1:
         raise ValueError(f"jkz_multiplier must be >= 1, got {jkz_multiplier!r}")
+    if jkz_multiplier > sys.float_info.max:  # float() of a larger int may overflow
+        raise ValueError("jkz_multiplier is past the float range (about 1.8e308)")
     multiplied = JKZ if any(w.name == JKZ for w in case.wards) else case.wards[0].name
     product = 1.0
     components = []

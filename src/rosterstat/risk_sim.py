@@ -1,29 +1,18 @@
-"""Relative risk and Monte Carlo calibration of its null distribution.
+"""Relative risk and the calibration of its null distribution.
 
 The question: among I nurses with equal shift counts and a common incident
 intensity, how often does the *largest* relative risk reach the suspect's
-observed value? Replicates draw each nurse's count from a Poisson; with
-equal shifts the maximum relative risk belongs to the nurse with the most
-incidents, so only the maximum and the total matter. A count is a uniform
-inverted through the running sum of the poisson_dist vector, the pmf that
-the exact oracle exact_max_rr_tail reads too.
+observed value? With equal shifts the maximum relative risk belongs to the
+nurse with the most incidents, so only the maximum and the total matter.
+simulate_max_rr draws each nurse's count by inverting a uniform through the
+running sum of the poisson_dist vector; exact_max_rr_tail sums the same pmf
+exactly, conditioning on the total.
 
-Randomness is counter-based (Philox keyed by the master seed); replicate i
-consumes a fixed, padded slice of the uniform stream, so any partition of
-the replicate range across threads, and any block size, reproduces
-bit-identical counts. Each range advances one generator to its start and
-draws its blocks in turn. The calling thread simulates the first range; only
-a run with more than one thread starts a pool, of one thread per further
-range. Blocks are sized by bytes (_BLOCK_BYTES of everything a block holds,
-or one replicate if that is larger), so memory is about threads x
-max(budget, one replicate).
-
-Inversion is a guide table (Chen and Asau 1974). Each uniform is scaled in
-place by _BUCKETS, a power of two, so scaled uniforms and the scaled CDF are
-exact and compare as the unscaled ones do. The integer part picks a bucket;
-the per-run bucket table gives the count for a bucket that holds no CDF
-entry, and only draws in the other buckets are binary-searched. Every count
-equals searchsorted(cdf, u, side="right").
+Randomness is counter-based (Philox keyed by the master seed): replicate i
+reads a fixed, padded slice of the uniform stream, so any partition of the
+replicates across threads, and any block size, gives bit-identical counts
+(see _simulate_range). Inversion is a guide table (Chen and Asau 1974; see
+_bucket_table), and every count equals searchsorted(cdf, u, side="right").
 """
 
 from __future__ import annotations
@@ -32,7 +21,6 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +41,13 @@ _BUCKETS = 1 << 12  # a power of two, so scaling by it is exact
 # one-replicate run at I = 10**6 peaked at 17.0 MB; without a bound a valid
 # ward with n = 10**9, r = 1 would ask for one 18 GB replicate
 _MAX_NURSE_COUNT = 10**6
+# exact_max_rr_tail's work: a chain step convolves at most L coefficients with
+# c pmf terms, L * (c + 8) units with the flush, plus 50,000 for its calls. A
+# unit took 0.06-0.4 ns on a shared 2-core Xeon (numpy 2.4), so a run at the
+# bound takes up to 1.2 s; I = 10**5 at mean 1 would take 5e12 units. Terms
+# below _FLUSH are dropped, moving no tail by 1e-100, so products stay normal:
+# subnormal arithmetic ran one chain 6x slower
+_EXACT_WORK, _FLUSH = 3 * 10**9, 2.0**-500
 
 
 @dataclass(frozen=True)
@@ -260,39 +255,49 @@ def simulate_max_rr(cfg: SimulationConfig, threshold: float,
 
 def exact_max_rr_tail(I: int, r: int, mu: float, threshold: float,
                       count_cap: int) -> float:
-    """Exact P(max relative risk >= threshold) by truncated enumeration.
+    """Exact P(max relative risk >= threshold), conditioning on the total N.
 
-    Independent oracle for simulate_max_rr, feasible only for I <= 4.
-    count_cap must leave per-nurse Poisson mass below 1e-10 beyond it.
+    The brute-enumeration sum over counts 0..count_cap, with _exceeds'
+    conventions: total N adds [x^N] (P^I - P_c^I), P being the pmf polynomial
+    cut at count_cap (which must leave under 1e-10 of the mass) and P_c its
+    terms below the least maximum c(N) that exceeds. The absolute error is
+    within 1e-15, so a tail near that size is not resolved in relative terms.
     """
-    if not (2 <= I <= 4):
-        raise ValueError(f"exact enumeration supports 2 <= I <= 4, got {I}")
+    if not 2 <= I <= _MAX_NURSE_COUNT:
+        raise ValueError(f"exact calibration needs 2 <= I <= 10**6, got {I}")
     if not threshold >= 0:  # NaN fails this too
         raise ValueError(f"threshold must be non-negative, got {threshold!r}")
     dist = poisson_dist(mu * r)
-    lo, probs = dist.support_min, dist.probabilities
-    pmf = [probs[k - lo] if 0 <= k - lo < len(probs) else 0.0 for k in range(count_cap + 1)]
+    pmf = np.concatenate([np.zeros(dist.support_min), dist.probabilities])[:count_cap + 1]
     truncated = 1.0 - math.fsum(pmf)
     if truncated >= 1e-10:
-        raise ValueError(
-            f"count_cap={count_cap} leaves Poisson mass {truncated:.3e} >= 1e-10"
-        )
+        raise ValueError(f"count_cap={count_cap} leaves Poisson mass {truncated:.3e} >= 1e-10")
+    pmf[pmf < _FLUSH] = 0.0
+    d = len(pmf) - 1
+    maxima = np.arange(1, d + 1)  # bisect for the last total each one exceeds at
+    lo, hi = maxima, np.full(d, I * d)
+    while np.any(lo < hi):
+        mid = (lo + hi + 1) // 2
+        hit = _exceeds(maxima, mid, I, threshold)
+        lo, hi = np.where(hit, mid, lo), np.where(hit, hi, mid - 1)
+    last = [0, *lo.tolist()]
+    # (c, first, n): P_c^I's terms at totals first+1..n; c = d + 1 is P^I, from
+    # total 0 when all-zero counts exceed
+    chains = [(d + 1, -1 if 1.0 >= threshold else 0, last[d])] + [
+        (c, last[c - 1], min(last[c], I * (c - 1))) for c in range(2, d + 1)
+        if min(last[c], I * (c - 1)) > last[c - 1]]
+    work = sum((I - 1) * ((n + 1) * (c + 8) + 50_000) for c, _, n in chains)
+    if work > _EXACT_WORK:
+        raise ValueError(f"exact calibration at I = {I}, count_cap = {count_cap} and threshold"
+                         f" {threshold!r} needs {work:.2e} work units, above {_EXACT_WORK:.0e}")
     pieces = []
-    for vector in product(range(count_cap + 1), repeat=I):
-        total = sum(vector)
-        biggest = max(vector)
-        if total == 0:
-            hit = 1.0 >= threshold
-        elif total == biggest:
-            hit = True
-        else:
-            hit = biggest * (I - 1) >= threshold * (total - biggest)
-        if hit:
-            prob = 1.0
-            for k in vector:
-                prob *= pmf[k]
-            pieces.append(prob)
-    return min(1.0, math.fsum(pieces))
+    for c, first, n in chains:  # I - 1 np.convolve calls each
+        power = pmf[:c][:n + 1]
+        for _ in range(I - 1):
+            power = np.convolve(power, pmf[:c])[:n + 1]
+            power[power < _FLUSH] = 0.0
+        pieces.append(power[first + 1:] if c > d else -power[first + 1:])
+    return min(1.0, max(0.0, math.fsum(np.concatenate(pieces))))
 
 
 def derive_sim_config(
@@ -325,6 +330,9 @@ def derive_sim_config(
             pool.name, n, r, ratio, nurse_count,
         )
     mu = estimate_mu(case, mu_basis, ward_names)
+    if mu.mu * r > 1e6:  # SimulationConfig's bound, with the wards named
+        raise ValueError(f"{pool.name}: n/r = {n}/{r}; the per-nurse Poisson mean"
+                         f" mu * r = {mu.mu * r!r} is above 10**6")
     return SimulationConfig(
         nurse_count=nurse_count,
         shifts_per_nurse=r,

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
@@ -275,7 +277,8 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--case", path, "--method",
                              "relative-risk", "--replicates", "100")
         assert (code, out) == (2, "")
-        assert err == "rosterstat: per-nurse Poisson mean 2000000.0 is above 10**6\n"
+        assert err == ("rosterstat: A: n/r = 10000000/4000000; the per-nurse Poisson mean"
+                       " mu * r = 2000000.0 is above 10**6\n")
 
     @pytest.mark.parametrize("n,r,k,x,message", [
         (40, 40, 3, 3, "A: n/r = 40/40; the relative risk needs shifts for both the"
@@ -463,6 +466,37 @@ def test_deeply_nested_case_file_exits_2_without_a_traceback(tmp_path):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("rosterstat:") and "Traceback" not in done.stderr
 
+
+
+def _defaults(func, *names):
+    parameters = inspect.signature(func).parameters
+    return {name: parameters[name].default for name in names}
+
+
+def test_cli_defaults_match_the_library_defaults():
+    # perfbench's expected_values rebuilds a relative-risk run of the CLI
+    # with derive_sim_config's default replicates
+    parser = cli._build_parser()
+    analyze = vars(parser.parse_args(["analyze", "--builtin", "corrected",
+                                      "--method", "pooled"]))
+    repro = vars(parser.parse_args(["reproduce-paper"]))
+    names = ("seed", "replicates", "mu_basis", "prior")
+    assert {name: analyze[name] for name in names} == _defaults(report.run_method, *names)
+    shared = {"seed": analyze["seed"], "replicates": analyze["replicates"]}
+    fields = {f.name: f.default for f in dataclasses.fields(risk_sim.SimulationConfig)}
+    for defaults in (repro, _defaults(report.reproduce_paper, *shared),
+                     _defaults(risk_sim.derive_sim_config, *shared), fields):
+        assert {name: defaults[name] for name in shared} == shared
+
+def test_multiplier_past_the_float_range_exits_2_without_a_traceback():
+    done = subprocess.run(
+        [sys.executable, "-m", "rosterstat.cli", "analyze", "--builtin", "original",
+         "--method", "elffers", "--jkz-multiplier", str(10**400)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("rosterstat: jkz_multiplier is past the float range"
+                           " (about 1.8e308)\n")
 
 # The names the demos, the README quick start and perfbench reach through
 # the package; every other public name is imported from its own module.

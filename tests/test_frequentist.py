@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -78,6 +79,16 @@ class TestElffersPipeline:
         result = elffers_pipeline(case, jkz_multiplier=27)
         for name, tail, m in result.components:
             assert result.p_value <= min(1.0, m * tail) + 1e-15
+
+    @pytest.mark.parametrize("multiplier", [2**1024, 10**400])
+    def test_multiplier_past_the_float_range_rejected(self, multiplier):
+        with pytest.raises(ValueError, match=r"^jkz_multiplier is past the float range"):
+            elffers_pipeline(builtin_paper_case("original"), multiplier)
+
+    def test_largest_float_multiplier_accepted(self):
+        result = elffers_pipeline(builtin_paper_case("original"), int(sys.float_info.max))
+        assert {name: m for name, _, m in result.components}["JKZ"] == sys.float_info.max
+        assert 0.0 < result.p_value <= 1.0
 
 
 class TestBonferroni:

@@ -5,11 +5,15 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosterstat import risk_sim
 from rosterstat.case import builtin_paper_case
@@ -306,6 +310,36 @@ class TestBucketInversion:
             assert table.max() == len(cdf) + 1
 
 
+def _count_cap(mean):
+    """The least count_cap that exact_max_rr_tail's 1e-10 mass check accepts."""
+    dist = poisson_dist(mean)
+    pmf = [0.0] * dist.support_min + list(dist.probabilities)
+    return next(cap for cap in range(len(pmf)) if 1.0 - math.fsum(pmf[:cap + 1]) < 1e-10)
+
+
+def _brute_max_rr_tail(I, r, mu, threshold, count_cap):
+    """The oracle: the same truncated sum, over every count vector in turn."""
+    dist = poisson_dist(mu * r)
+    lo, probs = dist.support_min, dist.probabilities
+    pmf = [probs[k - lo] if 0 <= k - lo < len(probs) else 0.0 for k in range(count_cap + 1)]
+    pieces = []
+    for vector in product(range(count_cap + 1), repeat=I):
+        total = sum(vector)
+        biggest = max(vector)
+        if total == 0:
+            hit = 1.0 >= threshold
+        elif total == biggest:
+            hit = True
+        else:
+            hit = biggest * (I - 1) >= threshold * (total - biggest)
+        if hit:
+            prob = 1.0
+            for k in vector:
+                prob *= pmf[k]
+            pieces.append(prob)
+    return min(1.0, math.fsum(pieces))
+
+
 class TestExactOracle:
     def test_threshold_zero(self):
         assert exact_max_rr_tail(3, 5, 0.1, 0.0, count_cap=25) == 1.0
@@ -353,9 +387,28 @@ class TestExactOracle:
         with pytest.raises(ValueError, match="mass"):
             exact_max_rr_tail(3, 10, 0.5, 1.0, count_cap=3)
 
-    def test_large_i_rejected(self):
-        with pytest.raises(ValueError):
-            exact_max_rr_tail(5, 1, 0.5, 1.0, count_cap=25)
+    @pytest.mark.parametrize("I", [1, 10**6 + 1])
+    def test_nurse_count_outside_the_simulator_range_rejected(self, I):
+        with pytest.raises(ValueError, match=rf"needs 2 <= I <= 10\*\*6, got {I}$"):
+            exact_max_rr_tail(I, 1, 0.5, 1.0, count_cap=25)
+
+    def test_past_the_work_bound_refused_at_once(self):
+        # 5.1e12 work units: 5 to 30 minutes of convolutions if it were run
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"I = 100000, count_cap = 12 and threshold"
+                                             r" 3\.0 needs 5\.\d\de\+12 work units, above 3e\+09$"):
+            exact_max_rr_tail(10**5, 1, 1.0, 3.0, count_cap=_count_cap(1.0))
+        assert time.perf_counter() - start < 0.1
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(I=st.sampled_from([2, 3, 4]), r=st.sampled_from([1, 2]),
+           mu=st.sampled_from([0.004, 0.3, 0.7, 1.0, 1.25]),
+           threshold=st.one_of(st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, 4.6456, math.inf]),
+                               st.floats(0.0, 40.0)))
+    def test_equals_brute_enumeration(self, I, r, mu, threshold):
+        cap = _count_cap(mu * r)
+        exact = exact_max_rr_tail(I, r, mu, threshold, cap)
+        assert abs(exact - _brute_max_rr_tail(I, r, mu, threshold, cap)) <= 1e-15
 
 
 def _reference_exceeds(max_counts, totals, I, threshold):
@@ -424,6 +477,26 @@ class TestPaperCounts:
                             rows * (8 * stride + 10 * cfg.nurse_count) + 5)
         for workers in (1, 2, 8):
             assert simulate_max_rr(cfg, threshold, workers=workers) == default
+
+
+class TestPaperExactTails:
+    # an independent mpmath evaluation of the conditioning sum gives these
+    # tails to 5 decimals
+    @pytest.mark.parametrize("wards,basis,figure", [
+        (RKZ, "exclude_suspect", 0.10729),
+        (RKZ, "include_suspect", 0.03999),
+        (["RKZ-41"], "exclude_suspect", 0.79874),
+        (["RKZ-41"], "include_suspect", 0.67729),
+        (["RKZ-42"], "exclude_suspect", 0.38958),
+        (["RKZ-42"], "include_suspect", 0.28939),
+    ])
+    def test_simulation_within_four_standard_errors(self, wards, basis, figure):
+        cfg, threshold = _paper_run(wards, basis)
+        exact = exact_max_rr_tail(cfg.nurse_count, cfg.shifts_per_nurse, cfg.mu, threshold,
+                                  _count_cap(cfg.mu * cfg.shifts_per_nurse))
+        assert exact == pytest.approx(figure, rel=0, abs=5e-6)
+        sim = simulate_max_rr(cfg, threshold)
+        assert abs(sim.p_value - exact) <= 4 * math.sqrt(exact * (1 - exact) / cfg.replicates)
 
 
 class TestBlockMemory:
