@@ -24,6 +24,7 @@ is None and ``evidence`` when it is empty.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
 
 from rosterstat.bayes import EvidenceItem
@@ -137,13 +138,35 @@ _COUNT_KEYS = ("total_shifts", "suspect_shifts", "total_incidents", "suspect_inc
 _WARD_KEYS = {"name", "nurse_count", *_COUNT_KEYS}
 _CASE_KEYS = {"case_name", "suspect", "variant", "wards", "evidence"}
 _EVIDENCE_KEYS = {"label", "lr", "provenance"}
+# a C0, DEL or C1 control character, or a lone surrogate, which UTF-8 cannot encode
+_NOT_TEXT = re.compile(r"[\x00-\x1f\x7f-\x9f\ud800-\udfff]")
+_TOO_LONG = object()  # an integer literal past int()'s digit limit, which stays as it is
+
+
+def _read_int(literal: str) -> int | object:
+    """json.loads's parse_int: _require names the field of a _TOO_LONG literal."""
+    try:
+        return int(literal)
+    except ValueError:
+        return _TOO_LONG
 
 
 def _require(obj: dict, key: str, where: str, kinds: type | tuple[type, ...], what: str):
     """obj[key] if it is one of the JSON kinds given (never a boolean)."""
     value = obj[key]
+    if value is _TOO_LONG:
+        raise CaseValidationError(f"{where}: {key} is an integer with too many digits to read")
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise CaseValidationError(f"{where}: {key} must be {what}, got {value!r}")
+    return value
+
+
+def _text(obj: dict, key: str, where: str) -> str:
+    """obj[key] if it is a string that a report can print as it is."""
+    value = _require(obj, key, where, str, "a string")
+    if bad := _NOT_TEXT.search(value):
+        raise CaseValidationError(f"{where}: {key} must be printable text, got {bad[0]!r}"
+                                  f" at index {bad.start()}")
     return value
 
 
@@ -157,7 +180,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
                 break
             seen.add(key)
         name, label = obj.get("name"), obj.get("label")
-        where = (f"{name}: " if isinstance(name, str) else
+        where = (f"{name}: " if isinstance(name, str) and not _NOT_TEXT.search(name) else
                  f"evidence {label!r}: " if isinstance(label, str) else "")
         raise CaseValidationError(f"{where}key {key!r} is repeated")
     return obj
@@ -183,7 +206,8 @@ def parse_case(text: str | bytes) -> CaseFile:
         except UnicodeDecodeError as exc:
             raise not_utf8(exc) from None
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+        raw = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant,
+                         parse_int=_read_int)
     except json.JSONDecodeError as exc:
         raise CaseValidationError(
             f"malformed case file at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -211,6 +235,7 @@ def parse_case(text: str | bytes) -> CaseFile:
         if not name or "," in name or name != name.strip():  # --wards splits on "," and strips
             raise CaseValidationError(f"ward #{i}: name must be nonempty, without commas "
                                       f"or outer whitespace, got {name!r}")
+        _text(entry, "name", f"ward #{i}")
         for key in _COUNT_KEYS:
             if key not in entry:
                 raise CaseValidationError(f"{name}: missing key {key!r}")
@@ -237,13 +262,13 @@ def parse_case(text: str | bytes) -> CaseFile:
         if not 0.0 < lr < float("inf"):
             raise CaseValidationError(f"{where}: lr must be positive and finite, got {lr!r}")
         evidence.append(EvidenceItem(
-            label=_require(entry, "label", where, str, "a string"),
+            label=_text(entry, "label", where),
             lr=lr,
-            provenance=_require(entry, "provenance", where, str, "a string"),
+            provenance=_text(entry, "provenance", where),
         ))
     return CaseFile(
-        case_name=_require(raw, "case_name", "case file", str, "a string"),
-        suspect=_require(raw, "suspect", "case file", str, "a string"),
+        case_name=_text(raw, "case_name", "case file"),
+        suspect=_text(raw, "suspect", "case file"),
         wards=tuple(wards),
         variant=_require(raw, "variant", "case file", str, "a string"),
         evidence=tuple(evidence),

@@ -39,35 +39,33 @@ _BANDS = (
 )
 
 
+def _check_ratio(value: float, numerator: int, denominator: int) -> None:
+    """Require positive counts whose correctly rounded quotient is value.
+
+    Python's int true division rounds correctly, so (n / d, n, d) passes, as
+    does (v, *v.as_integer_ratio()) for a positive finite float v; counts
+    whose quotient is past the float range raise OverflowError.
+    """
+    if numerator <= 0 or denominator <= 0:
+        raise ValueError(f"an intensity needs positive counts, got {numerator}/{denominator}")
+    if not 0.0 < value == numerator / denominator:
+        raise ValueError(f"intensity {value!r} is not the positive finite float that"
+                         f" {numerator}/{denominator} rounds to")
+
+
 @dataclass(frozen=True)
 class IntensityEstimate:
-    """Background incident intensity (incidents per shift) and its basis."""
+    """Background incident intensity mu = numerator / denominator and its basis."""
 
     mu: float
     basis: str
-    numerator: int = 0
-    denominator: int = 0
+    numerator: int
+    denominator: int
 
     def __post_init__(self) -> None:
         if self.basis not in MU_BASES:
             raise ValueError(f"basis must be one of {MU_BASES}, got {self.basis!r}")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ValueError(f"intensity must be positive and finite, got {self.mu!r}")
-        if self.basis != "fixed":
-            if self.denominator <= 0 or self.numerator <= 0:
-                raise ValueError("data-derived intensities need positive counts")
-            exact = self.numerator / self.denominator
-            if not math.isclose(self.mu, exact, rel_tol=1e-12):
-                raise ValueError(
-                    f"mu {self.mu!r} inconsistent with {self.numerator}/{self.denominator}"
-                )
-
-    @property
-    def ratio(self) -> tuple[int, int]:
-        """mu as an exact (numerator, denominator) pair, denominator positive."""
-        if self.basis == "fixed":
-            return self.mu.as_integer_ratio()
-        return self.numerator, self.denominator
+        _check_ratio(self.mu, self.numerator, self.denominator)
 
 
 @dataclass(frozen=True)
@@ -83,13 +81,7 @@ class SuspectIntensity:
     denominator: int
 
     def __post_init__(self) -> None:
-        if self.numerator <= 0 or self.denominator <= 0:
-            raise ValueError("the suspect's intensity needs positive counts")
-
-    @property
-    def ratio(self) -> tuple[int, int]:
-        """mu_L as an exact (numerator, denominator) pair, denominator positive."""
-        return self.numerator, self.denominator
+        _check_ratio(self.mu_L, self.numerator, self.denominator)
 
 
 def observed_rate(incidents: int, shifts: int) -> SuspectIntensity:
@@ -99,12 +91,7 @@ def observed_rate(incidents: int, shifts: int) -> SuspectIntensity:
     if incidents < 1:
         raise ValueError(f"cannot fit the suspect's own intensity mu_L = 0/{shifts}"
                          " (no incidents on the suspect's shifts); LR undefined")
-    return SuspectIntensity(
-        mu_L=incidents / shifts,
-        rule="observed_rate",
-        numerator=incidents,
-        denominator=shifts,
-    )
+    return SuspectIntensity(incidents / shifts, "observed_rate", incidents, shifts)
 
 
 def estimate_mu(case: CaseFile, basis: str, names: Sequence[str]) -> IntensityEstimate:
@@ -114,36 +101,30 @@ def estimate_mu(case: CaseFile, basis: str, names: Sequence[str]) -> IntensityEs
     'exclude_suspect' uses the other nurses' incidents and shifts (the
     prosecution's convention); 'include_suspect' uses all of them (the
     defence's), each also spelt with a dash; 'fixed=<value>' takes a finite
-    positive value verbatim and reads no ward, where <value> is an ASCII
-    decimal literal such as 0.05 or 2e-3, with no '_' and no whitespace.
+    positive value verbatim, with its float's exact binary fraction as the
+    counts, and reads no ward, where <value> is an ASCII decimal literal
+    such as 0.05 or 2e-3, with no '_' and no whitespace.
     """
     if basis.startswith("fixed=") and _DECIMAL.fullmatch(basis, len("fixed=")):
         value = float(basis[len("fixed="):])
         if math.isfinite(value) and value > 0:
-            return IntensityEstimate(mu=value, basis="fixed")
+            return IntensityEstimate(value, "fixed", *value.as_integer_ratio())
     spec, basis = basis, basis.replace("-", "_")
     if basis not in ("exclude_suspect", "include_suspect"):
         raise ValueError(f"unknown --mu-basis {spec!r}; expected exclude-suspect, "
                          "include-suspect or fixed=<finite positive number>")
     pool = pool_wards(case, names)
-    if basis == "include_suspect":
-        numerator = pool.total_incidents
-        denominator = pool.total_shifts
-    else:
-        numerator = pool.total_incidents - pool.suspect_incidents
-        denominator = pool.total_shifts - pool.suspect_shifts
+    numerator, denominator = pool.total_incidents, pool.total_shifts
+    if basis == "exclude_suspect":
+        numerator -= pool.suspect_incidents
+        denominator -= pool.suspect_shifts
     if denominator == 0:
         raise ValueError(f"{pool.name}: zero shifts in the intensity denominator"
                          f" (basis {basis})")
     if numerator == 0:
         raise ValueError(f"{pool.name}: cannot fit intensity 0 (no incidents,"
                          f" basis {basis}); LR undefined")
-    return IntensityEstimate(
-        mu=numerator / denominator,
-        basis=basis,
-        numerator=numerator,
-        denominator=denominator,
-    )
+    return IntensityEstimate(numerator / denominator, basis, numerator, denominator)
 
 
 @dataclass(frozen=True)
@@ -190,16 +171,15 @@ def lr_poisson(
 
     The other nurses' Poisson factors are identical under both hypotheses
     and cancel, leaving only the suspect's term. Computed in log space from
-    the exact ratios mu = a/b and mu_L = c/d that ``.ratio`` gives, both
-    positive by construction: each int true division is correctly rounded,
-    so every float is the one the exact rational rounds to.
+    the records' numerator and denominator fields, mu = a/b and mu_L = c/d,
+    all positive by construction: each int true division is correctly
+    rounded, so every float is the one the exact rational rounds to.
     """
     if r_j < 1:
         raise ValueError(f"r_j must be >= 1, got {r_j}")
     if k_j < 0:
         raise ValueError(f"k_j must be >= 0, got {k_j}")
-    a, b = mu.ratio
-    c, d = mu_L.ratio
+    a, b, c, d = mu.numerator, mu.denominator, mu_L.numerator, mu_L.denominator
     try:
         log_lr = (a * d - c * b) * r_j / (b * d) + k_j * (math.log(c / d) - math.log(a / b))
         value = math.exp(log_lr)

@@ -113,6 +113,9 @@ def run_method(
                  frequentist.convolved_sum_test(case, names), {})]
     if method == "fisher":
         tails = [frequentist.ward_tail_p(w).p_value for w in wards]
+        underflowed = [w.name for w, p in zip(wards, tails) if p == 0.0]
+        if underflowed:
+            raise ValueError(f"{underflowed[0]}: its tail underflows to 0.0 (Fisher needs p > 0)")
         return [(f"Fisher combination over {names}", frequentist.fisher_combine(tails), {})]
     if method == "poisson-lr":
         mu = poisson_model.estimate_mu(case, mu_basis, names)

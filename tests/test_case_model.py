@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 import weakref
 
 import pytest
@@ -178,9 +179,20 @@ class TestParseCase:
          "^case file uses Infinity, which is not strict JSON$"),
         (("wards", 0, "total_shifts"), Token("-Infinity"),
          "^case file uses -Infinity, which is not strict JSON$"),
+        # past int()'s 4,300-digit limit, which parse_case leaves as it is
+        (("wards", 0, "total_shifts"), Token("9" * 5001),
+         "^JKZ: total_shifts is an integer with too many digits to read$"),
+        (("wards", 1, "nurse_count"), Token("-" + "1" * 5001),
+         "^RKZ-41: nurse_count is an integer with too many digits to read$"),
+        (("evidence", 1, "lr"), Token("9" * 5001),
+         "^evidence #1: lr is an integer with too many digits to read$"),
+        (("case_name",), Token("9" * 5001),
+         "^case file: case_name is an integer with too many digits to read$"),
     ], ids=["wards", "evidence", "case_name", "suspect", "variant", "ward-name",
             "label", "provenance", "lr-string", "lr-bool", "lr-huge-int", "lr-zero",
-            "lr-negative", "lr-past-the-float-range", "NaN", "Infinity", "-Infinity"])
+            "lr-negative", "lr-past-the-float-range", "NaN", "Infinity", "-Infinity",
+            "count-5001-digits", "nurse-count-5001-digits", "lr-5001-digits",
+            "case-name-5001-digits"])
     def test_wrong_json_type_rejected(self, path, value, message):
         doc = json.loads(json.dumps(VALID_DOC))
         doc["evidence"] = [{"label": "E1", "lr": 0.5, "provenance": "expert"},
@@ -192,8 +204,41 @@ class TestParseCase:
         text = json.dumps(doc)
         if isinstance(value, Token):
             text = text.replace(json.dumps(value), value)
+        limit = sys.get_int_max_str_digits()
         with pytest.raises(CaseValidationError, match=message):
             parse_case(text)
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("path, where", [
+        (("case_name",), "case file"), (("suspect",), "case file"),
+        (("wards", 1, "name"), "ward #1"), (("evidence", 0, "label"), "evidence #0"),
+        (("evidence", 0, "provenance"), "evidence #0"),
+    ])
+    @pytest.mark.parametrize("char", ["\n", "\x00", "\x1b", "\x7f", "\x85", "\x9f",
+                                      "\ud800", "\udc80", "\udfff"])
+    def test_control_character_or_lone_surrogate_rejected(self, path, where, char):
+        doc = json.loads(json.dumps(VALID_DOC))
+        doc["evidence"] = [{"label": "E1", "lr": 0.5, "provenance": "expert"}]
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = f"A{char}B"
+        with pytest.raises(CaseValidationError) as raised:
+            parse_case(json.dumps(doc))
+        assert str(raised.value) == (f"{where}: {path[-1]} must be printable text, "
+                                     f"got {char!r} at index 1")
+
+    @pytest.mark.parametrize("text", ["\xa0", "\u00e9", "\u2028", "\U0001f600"])
+    def test_printable_text_accepted(self, text):
+        doc = dict(VALID_DOC, case_name=f"A{text}B", suspect=f"{text}")
+        assert parse_case(json.dumps(doc)).case_name == f"A{text}B"
+
+    def test_repeated_key_message_leaves_out_a_name_that_is_not_text(self):
+        text = json.dumps(VALID_DOC).replace('"name": "JKZ"',
+                                             '"name": "A\\nB", "suspect_shifts": 1')
+        with pytest.raises(CaseValidationError) as raised:
+            parse_case(text)
+        assert str(raised.value) == "key 'suspect_shifts' is repeated"
 
 
 @st.composite
@@ -206,23 +251,25 @@ def ward_rosters(draw, name):
     return WardRoster(name, n, r, k, x, nurse_count=nurse_count)
 
 
+# the text parse_case accepts: no control character and no lone surrogate
+printable = st.characters(exclude_categories=("Cc", "Cs"))
 evidence_items = st.builds(
     EvidenceItem,
-    label=st.text(max_size=20),
+    label=st.text(printable, max_size=20),
     lr=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    provenance=st.text(max_size=20),
+    provenance=st.text(printable, max_size=20),
 )
 
 
 @st.composite
 def case_files(draw):
     # the ward names parse_case accepts: nonempty, no comma, no outer whitespace
-    selectable = st.text(min_size=1, max_size=10).filter(
+    selectable = st.text(printable, min_size=1, max_size=10).filter(
         lambda name: "," not in name and name == name.strip())
     names = draw(st.lists(selectable, min_size=1, max_size=4, unique=True))
     return CaseFile(
-        case_name=draw(st.text(max_size=20)),
-        suspect=draw(st.text(max_size=20)),
+        case_name=draw(st.text(printable, max_size=20)),
+        suspect=draw(st.text(printable, max_size=20)),
         wards=tuple(draw(ward_rosters(name)) for name in names),
         variant=draw(st.sampled_from(VARIANTS)),
         evidence=tuple(draw(st.lists(evidence_items, max_size=4))),

@@ -381,6 +381,34 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == f"rosterstat: JKZ: {key} must be at most 2**53\n"
 
+    @pytest.mark.parametrize("old, where, key", [
+        ('"total_shifts": 1029', "JKZ", "total_shifts"),
+        ('"lr": 0.5', "evidence #0", "lr"),
+    ])
+    def test_integer_past_the_digit_limit_names_the_field(self, tmp_path, capsys, old,
+                                                          where, key):
+        # 5,001 digits: int() refuses more than 4,300, a limit the parser leaves as it is
+        text = serialize_case(builtin_paper_case("corrected"))
+        assert text.count(old) == 1
+        path = tmp_path / "long.json"
+        path.write_text(text.replace(old, f'"{key}": {"9" * 5001}'), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--case", str(path), "--method", "pooled")
+        assert (code, out) == (2, "")
+        assert err == f"rosterstat: {where}: {key} is an integer with too many digits to read\n"
+
+    def test_fisher_names_the_ward_whose_tail_underflows(self, tmp_path, capsys):
+        wards = [{"name": "A", "total_shifts": 2000, "suspect_shifts": 1000,
+                  "total_incidents": 1000, "suspect_incidents": 1000},
+                 {"name": "B", "total_shifts": 100, "suspect_shifts": 10,
+                  "total_incidents": 5, "suspect_incidents": 1}]
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps({"case_name": "t", "suspect": "s", "variant": "corrected",
+                                    "wards": wards}), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--case", str(path), "--method", "fisher",
+                             "--wards", "A,B")
+        assert (code, out) == (2, "")
+        assert err == "rosterstat: A: its tail underflows to 0.0 (Fisher needs p > 0)\n"
+
     @pytest.mark.parametrize("argv", [["--method", "bayes"],
                                       ["--method", "elffers", "--jkz-multiplier", "27"]])
     def test_unknown_ward_exits_2_where_the_method_reads_no_ward(self, capsys, argv):
@@ -466,6 +494,36 @@ def test_deeply_nested_case_file_exits_2_without_a_traceback(tmp_path):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("rosterstat:") and "Traceback" not in done.stderr
 
+
+
+# Case-file text that a report would print as other lines, or could not
+# encode, or would write as a raw byte under the POSIX locale's surrogateescape.
+@pytest.mark.parametrize("stdio", [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8:strict"}],
+                         ids=["posix-locale", "strict-utf8"])
+@pytest.mark.parametrize("path, value, message", [
+    (("wards", 0, "name"), "A\n    p_value: 0.5\n- B",
+     r"ward #0: name must be printable text, got '\n' at index 1"),
+    (("case_name",), "t\ud800x",
+     r"case file: case_name must be printable text, got '\ud800' at index 1"),
+    (("wards", 0, "name"), "A\udc80",
+     r"ward #0: name must be printable text, got '\udc80' at index 1"),
+], ids=["newline-in-ward-name", "surrogate-in-case-name", "surrogate-in-ward-name"])
+def test_case_file_text_a_report_cannot_print_exits_2(tmp_path, stdio, path, value, message):
+    doc = json.loads(serialize_case(builtin_paper_case("corrected")))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    case_path = tmp_path / "case.json"
+    case_path.write_text(json.dumps(doc), encoding="utf-8")  # \uXXXX escapes, ASCII
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("LANG", "LC_ALL", "LC_CTYPE", "PYTHONIOENCODING", "PYTHONUTF8")}
+    done = subprocess.run(
+        [sys.executable, "-m", "rosterstat.cli", "analyze", "--case", str(case_path),
+         "--method", "per-ward"],
+        capture_output=True, env={**env, "PYTHONPATH": str(SRC), **stdio}, timeout=60)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == f"rosterstat: {message}\n".encode("ascii")
 
 
 def _defaults(func, *names):

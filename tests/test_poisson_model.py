@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from math import comb
@@ -24,6 +25,16 @@ from rosterstat.poisson_model import (
 RKZ = ["RKZ-41", "RKZ-42"]
 
 
+def ratio(record):
+    """The exact (numerator, denominator) pair an intensity record holds."""
+    return record.numerator, record.denominator
+
+
+def fixed(mu):
+    """A fixed intensity whose counts are mu's binary fraction, as estimate_mu builds it."""
+    return IntensityEstimate(mu, "fixed", *mu.as_integer_ratio())
+
+
 @pytest.fixture
 def case():
     return builtin_paper_case("corrected")
@@ -39,16 +50,21 @@ class TestEstimateMu:
         assert (mu.numerator, mu.denominator) == (19, 675)
 
     def test_per_ward_values(self, case):
-        assert estimate_mu(case, "exclude_suspect", ["RKZ-41"]).ratio == (4, 333)
-        assert estimate_mu(case, "include_suspect", ["RKZ-41"]).ratio == (5, 336)
-        assert estimate_mu(case, "exclude_suspect", ["RKZ-42"]).ratio == (9, 281)
-        assert estimate_mu(case, "include_suspect", ["RKZ-42"]).ratio == (14, 339)
+        assert ratio(estimate_mu(case, "exclude_suspect", ["RKZ-41"])) == (4, 333)
+        assert ratio(estimate_mu(case, "include_suspect", ["RKZ-41"])) == (5, 336)
+        assert ratio(estimate_mu(case, "exclude_suspect", ["RKZ-42"])) == (9, 281)
+        assert ratio(estimate_mu(case, "include_suspect", ["RKZ-42"])) == (14, 339)
 
     def test_fixed_value(self, case):
         mu = estimate_mu(case, "fixed=0.05", RKZ)
         assert mu.mu == 0.05
         assert mu.basis == "fixed"
-        assert mu.ratio == (0.05).as_integer_ratio()
+        assert ratio(mu) == (0.05).as_integer_ratio()
+
+    def test_fixed_counts_are_the_values_binary_fraction(self, case):
+        # 0.02 is not 1/50 as a float: the counts are the float's own fraction
+        mu = estimate_mu(case, "fixed=0.02", RKZ)
+        assert ratio(mu) == (0.02).as_integer_ratio() == (5764607523034235, 2**58)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
     def test_fixed_value_must_be_positive_and_finite(self, case, value):
@@ -98,7 +114,7 @@ class TestLrPoisson:
         assert lr.direction == "neutral"
 
     def test_strictly_increasing_in_k(self):
-        mu = IntensityEstimate(mu=0.02, basis="fixed")
+        mu = fixed(0.02)
         values = [lr_poisson(mu, observed_rate(8, 100), 50, k).value for k in range(0, 8)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -108,7 +124,7 @@ class TestLrPoisson:
         mu_l = observed_rate(6, 61)
         grid = [0.01, 0.02, 0.05, 0.09]
         values = [
-            lr_poisson(IntensityEstimate(mu=m, basis="fixed"), mu_l, 61, 6).value
+            lr_poisson(fixed(m), mu_l, 61, 6).value
             for m in grid
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -116,20 +132,20 @@ class TestLrPoisson:
     def test_sub_unit_ratio_flips_direction(self):
         # an elevated suspect intensity with zero observed incidents makes
         # the evidence favor the defence
-        mu = IntensityEstimate(mu=0.02, basis="fixed")
+        mu = fixed(0.02)
         lr = lr_poisson(mu, observed_rate(1, 10), 30, 0)
         assert lr.value < 1.0
         assert lr.direction == FAVORS_DEFENCE
         assert "under H_d" in lr.verbal
 
     def test_subnormal_ratio_favors_the_defence(self):
-        mu = IntensityEstimate(mu=5e-324, basis="fixed")
+        mu = fixed(5e-324)
         lr = lr_poisson(mu, observed_rate(3963, 1768), 331, 0)
         assert (lr.value, lr.direction) == (6e-323, FAVORS_DEFENCE)
         assert lr.verbal == "very much more likely under H_d than under H_p"
 
     def test_rejects_zero_shifts(self):
-        mu = IntensityEstimate(mu=0.1, basis="fixed")
+        mu = fixed(0.1)
         with pytest.raises(ValueError):
             lr_poisson(mu, observed_rate(1, 5), 0, 1)
 
@@ -201,7 +217,7 @@ class TestIntensityTypes:
     def test_observed_rate_invariant(self):
         s = observed_rate(6, 61)
         assert s.mu_L * 61 == pytest.approx(6.0, rel=1e-12, abs=0)
-        assert s.ratio == (6, 61)
+        assert ratio(s) == (6, 61)
 
     @pytest.mark.parametrize("numerator, denominator", [(0, 61), (6, 0), (-1, 61)])
     def test_suspect_intensity_needs_positive_counts(self, numerator, denominator):
@@ -212,6 +228,65 @@ class TestIntensityTypes:
     def test_observed_rate_rejects_zero_incidents(self):
         with pytest.raises(ValueError):
             observed_rate(0, 61)
+
+    @pytest.mark.parametrize("record", [
+        lambda: SuspectIntensity(0.5, "observed_rate", 6, 61),
+        lambda: IntensityEstimate(0.1 + 1e-14, "include_suspect", 1, 10),
+        lambda: IntensityEstimate(0.0, "fixed", 1, 2**1100),  # 0.0 is not positive
+    ], ids=["6/61", "1/10", "underflow"])
+    def test_value_must_be_the_float_of_its_counts(self, record):
+        with pytest.raises(ValueError, match="is not the positive finite float that"):
+            record()
+
+    def test_counts_past_the_float_range_overflow(self):
+        with pytest.raises(OverflowError):
+            IntensityEstimate(1e300, "fixed", 10**400, 1)
+
+    @pytest.mark.parametrize("kind", [IntensityEstimate, SuspectIntensity])
+    def test_counts_are_required_and_the_only_exact_form(self, kind):
+        assert not hasattr(kind, "ratio")
+        fields = dataclasses.fields(kind)
+        assert [f.name for f in fields][2:] == ["numerator", "denominator"]
+        assert all(f.default is dataclasses.MISSING for f in fields)
+
+
+@st.composite
+def cases(draw):
+    """One to three valid wards of at most 2**51 shifts, so every pool is within 2**53."""
+    wards = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 2**51))
+        r = draw(st.integers(0, n))
+        x = draw(st.integers(0, r))
+        wards.append(WardRoster(f"W{i}", n, r, x + draw(st.integers(0, n - r)), x))
+    return CaseFile("t", "s", tuple(wards))
+
+
+SPECS = (st.sampled_from(["exclude_suspect", "exclude-suspect", "include_suspect",
+                          "include-suspect"])
+         | st.floats(5e-324, 1.7e308).map(lambda v: f"fixed={v!r}"))
+
+
+class TestRecordsHoldTheirExactFloat:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(cases(), SPECS)
+    def test_estimate_mu(self, case, spec):
+        names = [w.name for w in case.wards]
+        try:
+            mu = estimate_mu(case, spec, names)
+        except ValueError as exc:  # no incidents, or no shifts, in the basis
+            assert "intensity" in str(exc)
+            return
+        assert mu.mu == mu.numerator / mu.denominator
+        if spec.startswith("fixed="):
+            assert ratio(mu) == float(spec[len("fixed="):]).as_integer_ratio()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(1, 2**64), st.integers(1, 2**64))
+    def test_observed_rate(self, incidents, shifts):
+        mu_L = observed_rate(incidents, shifts)
+        assert ratio(mu_L) == (incidents, shifts)
+        assert mu_L.mu_L == mu_L.numerator / mu_L.denominator
 
 
 def former_lr(mu, mu_L, r_j, k_j):
@@ -246,8 +321,7 @@ COUNTS = st.integers(1, 2**64)
 ESTIMATES = (
     st.builds(lambda a, b, basis: IntensityEstimate(a / b, basis, a, b), COUNTS, COUNTS,
               st.sampled_from(["exclude_suspect", "include_suspect"]))
-    | st.builds(lambda mu: IntensityEstimate(mu, "fixed"),
-                st.floats(5e-324, 1e300) | st.integers(1, 10**6))
+    | st.builds(fixed, st.floats(5e-324, 1e300) | st.integers(1, 10**6))
 )
 SUSPECT = st.builds(lambda a, b: SuspectIntensity(a / b, "observed_rate", a, b),
                     COUNTS, COUNTS)
@@ -275,9 +349,9 @@ class TestIntegerRatioArithmetic:
            st.integers(1, 10**9), st.integers(0, 10**6))
     def test_equal_intensities_are_bit_identical(self, intensities, r_j, k_j):
         mu, mu_L = intensities
-        fixed = IntensityEstimate(mu.mu, "fixed")
-        same_float = SuspectIntensity(mu.mu, "observed_rate", *fixed.ratio)
-        for args in [(mu, mu_L), (fixed, mu_L), (fixed, same_float), (mu, same_float)]:
+        binary = fixed(mu.mu)
+        same_float = SuspectIntensity(mu.mu, "observed_rate", *ratio(binary))
+        for args in [(mu, mu_L), (binary, mu_L), (binary, same_float), (mu, same_float)]:
             got = lr_outcome(lr_poisson, *args, r_j, k_j)
             assert got == lr_outcome(former_lr, *args, r_j, k_j)
         assert lr_poisson(mu, mu_L, r_j, k_j).direction == NEUTRAL
