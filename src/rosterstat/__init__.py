@@ -23,12 +23,12 @@ layer, and numpy is loaded only by what needs it: the Monte Carlo engine,
 import importlib
 
 _DEFINED_IN = {
-    "EvidenceItem": "bayes",
     "OddsState": "bayes",
     "odds_from_probability": "bayes",
     "posterior_probability": "bayes",
     "update": "bayes",
     "CaseFile": "case",
+    "EvidenceItem": "case",
     "WardRoster": "case",
     "builtin_paper_case": "case",
     "parse_case": "case",

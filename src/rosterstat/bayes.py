@@ -5,39 +5,22 @@ immutable. The product is formed in the order the evidence is given and is
 rejected at the item where it leaves the float range, so an order whose
 partial products stay in range may pass where another is rejected. The
 independence of the evidence items is an assumption the caller must own; it
-is recorded on the state so reports can display it.
+is recorded on the state so reports can display it. EvidenceItem lives in
+``rosterstat.case`` and checks its own fields; OddsState checks the odds.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+
+from rosterstat.case import EvidenceItem
 
 INDEPENDENCE_NOTE = (
     "Assumes the evidence items are mutually independent given each "
     "hypothesis; no dependence between items is modelled."
 )
-
-
-def _require_positive_finite(value: float, name: str) -> None:
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not (finite and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class EvidenceItem:
-    """One piece of evidence with its asserted likelihood ratio."""
-
-    label: str
-    lr: float
-    provenance: str = ""
-
-    def __post_init__(self) -> None:
-        _require_positive_finite(self.lr, "likelihood ratio")
 
 
 @dataclass(frozen=True)
@@ -49,7 +32,8 @@ class OddsState:
     posterior_odds: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _require_positive_finite(self.prior_odds, "prior odds")
+        if not 0.0 < self.prior_odds <= sys.float_info.max:  # an int past it too
+            raise ValueError(f"prior odds must be positive and finite, got {self.prior_odds!r}")
         post = self.prior_odds
         for item in self.applied:
             post = _times_lr(post, item)

@@ -1,12 +1,16 @@
-"""Case-file data model: wards, counts, variants, parsing.
+"""Case-file data model: wards, counts, evidence, variants, parsing.
 
 A case file is UTF-8 JSON with top-level keys ``case_name``, ``suspect``,
 ``variant`` and ``wards``; each ward object carries ``name``,
 ``total_shifts``, ``suspect_shifts``, ``total_incidents``,
 ``suspect_incidents`` and optionally ``nurse_count``. An optional top-level
 ``evidence`` array (objects with ``label``, ``lr``, ``provenance``) feeds
-the Bayesian chain. Unknown keys, a key repeated in one object, and the
-non-standard tokens NaN, Infinity and -Infinity are rejected.
+the Bayesian chain (``rosterstat.bayes`` imports EvidenceItem from here).
+
+WardRoster, EvidenceItem and CaseFile each check every field they hold, in
+code or from a file, so parse_case reads back all that serialize_case writes.
+parse_case checks only the document: its syntax (NaN, Infinity, -Infinity and
+a repeated key are rejected), each object's keys, and where each entry is.
 
 The two data variants are first-class: the headline number in the original
 analysis was computed before the RKZ-41 shift count was corrected from 1
@@ -24,10 +28,10 @@ is None and ``evidence`` when it is empty.
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import asdict, dataclass
-
-from rosterstat.bayes import EvidenceItem
+from collections.abc import Iterator
+from dataclasses import MISSING, asdict, dataclass
 
 VARIANTS = ("original", "corrected")
 
@@ -44,13 +48,41 @@ class CaseValidationError(ValueError):
     """A roster or case file violates a structural invariant."""
 
 
+class _Unplaced(CaseValidationError):
+    """A field's error that leaves out where the field is, which parse_case adds."""
+
+
+# What parse_case passes a record for a key left out, for a key given as null
+# (not read as left out) and for an integer literal past int()'s digit limit.
+_ABSENT, _NULL, _TOO_LONG = object(), object(), object()
+# a C0, DEL or C1 control character, or a lone surrogate, which UTF-8 cannot encode
+_NOT_TEXT = re.compile(r"[\x00-\x1f\x7f-\x9f\ud800-\udfff]")
+
+
+def _kind(key: str, value: object, kinds: type | tuple[type, ...], what: str) -> None:
+    """Reject value unless it is one of the JSON kinds given (never a boolean)."""
+    if value is _ABSENT:
+        raise _Unplaced(f"missing key {key!r}")
+    if value is _TOO_LONG:
+        raise _Unplaced(f"{key} is an integer with too many digits to read")
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise _Unplaced(f"{key} must be {what}, got {None if value is _NULL else value!r}")
+
+
+def _text(key: str, value: object) -> None:
+    """Reject value unless it is a string that a report can print as it is."""
+    _kind(key, value, str, "a string")
+    if bad := _NOT_TEXT.search(value):
+        raise _Unplaced(f"{key} must be printable text, got {bad[0]!r} at index {bad.start()}")
+
+
 @dataclass(frozen=True)
 class WardRoster:
     """Shift and incident counts for one ward.
 
     total_shifts is the ward total n, suspect_shifts the suspect's r,
     total_incidents the ward total k, suspect_incidents the suspect's x.
-    Every count, nurse_count included, is at most MAX_COUNT = 2**53.
+    Every count, nurse_count included, is an int of at most MAX_COUNT = 2**53.
     """
 
     name: str
@@ -61,33 +93,59 @@ class WardRoster:
     nurse_count: int | None = None
 
     def __post_init__(self) -> None:
-        n, r = self.total_shifts, self.suspect_shifts
-        k, x = self.total_incidents, self.suspect_incidents
-        if n <= 0:
-            raise CaseValidationError(f"{self.name}: total_shifts must be positive, got {n}")
-        for key, value in (("suspect_shifts", r), ("total_incidents", k),
-                           ("suspect_incidents", x)):
-            if value < 0:
-                raise CaseValidationError(f"{self.name}: {key} must be non-negative, "
-                                          f"got {value}")
-        for key in (*_COUNT_KEYS, "nurse_count"):
-            value = getattr(self, key)
-            if value is not None and value > MAX_COUNT:
-                raise CaseValidationError(f"{self.name}: {key} must be at most 2**53")
-        if r > n:
-            raise CaseValidationError(f"{self.name}: suspect_shifts exceeds total_shifts")
-        if k > n:
-            raise CaseValidationError(f"{self.name}: total_incidents exceeds total_shifts")
-        if x > k:
-            raise CaseValidationError(f"{self.name}: suspect_incidents exceeds total_incidents")
-        if x > r:
-            raise CaseValidationError(f"{self.name}: suspect_incidents exceeds suspect_shifts")
-        if k - x > n - r:
-            raise CaseValidationError(
-                f"{self.name}: other nurses' incidents exceed their shifts"
-            )
-        if self.nurse_count is not None and self.nurse_count <= 0:
-            raise CaseValidationError(f"{self.name}: nurse_count must be positive")
+        name = self.name
+        _kind("name", name, str, "a string")
+        if not name or "," in name or name != name.strip():  # --wards splits on "," and strips
+            raise _Unplaced(f"name must be nonempty, without commas or outer whitespace, "
+                            f"got {name!r}")
+        _text("name", name)
+        try:
+            for key in list(self.__dataclass_fields__)[1:]:  # the counts after the name
+                value = getattr(self, key)
+                if value is not None or key != "nurse_count":
+                    _kind(key, value, int, "a decimal integer")
+                    if value > MAX_COUNT:
+                        raise _Unplaced(f"{key} must be at most 2**53")
+            n, r = self.total_shifts, self.suspect_shifts
+            k, x = self.total_incidents, self.suspect_incidents
+            if n <= 0:
+                raise _Unplaced(f"total_shifts must be positive, got {n}")
+            for key, value in (("suspect_shifts", r), ("total_incidents", k),
+                               ("suspect_incidents", x)):
+                if value < 0:
+                    raise _Unplaced(f"{key} must be non-negative, got {value}")
+            for failed, why in ((r > n, "suspect_shifts exceeds total_shifts"),
+                                (k > n, "total_incidents exceeds total_shifts"),
+                                (x > k, "suspect_incidents exceeds total_incidents"),
+                                (x > r, "suspect_incidents exceeds suspect_shifts"),
+                                (k - x > n - r, "other nurses' incidents exceed their shifts")):
+                if failed:
+                    raise _Unplaced(why)
+            if self.nurse_count is not None and self.nurse_count <= 0:
+                raise _Unplaced("nurse_count must be positive")
+        except _Unplaced as exc:
+            raise CaseValidationError(f"{name}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class EvidenceItem:
+    """One piece of evidence with its asserted likelihood ratio, held as a float."""
+
+    label: str
+    lr: float
+    provenance: str = ""
+
+    def __post_init__(self) -> None:
+        _text("label", self.label)
+        _kind("lr", self.lr, (int, float), "a number")
+        try:
+            lr = float(self.lr)
+        except OverflowError:
+            raise _Unplaced("lr is too large") from None
+        if not 0.0 < lr < math.inf:
+            raise _Unplaced(f"lr must be positive and finite, got {lr!r}")
+        object.__setattr__(self, "lr", lr)
+        _text("provenance", self.provenance)
 
 
 @dataclass(frozen=True)
@@ -101,12 +159,17 @@ class CaseFile:
     evidence: tuple[EvidenceItem, ...] = ()
 
     def __post_init__(self) -> None:
+        try:
+            for key in ("wards", "evidence"):  # a list, a tuple or an iterator
+                _kind(key, getattr(self, key), (list, tuple, Iterator), "an array")
+                object.__setattr__(self, key, tuple(getattr(self, key)))
+            _text("case_name", self.case_name)
+            _text("suspect", self.suspect)
+            _kind("variant", self.variant, str, "a string")
+        except _Unplaced as exc:
+            raise CaseValidationError(f"case file: {exc}") from None
         if self.variant not in VARIANTS:
-            raise CaseValidationError(
-                f"variant must be one of {VARIANTS}, got {self.variant!r}"
-            )
-        object.__setattr__(self, "wards", tuple(self.wards))
-        object.__setattr__(self, "evidence", tuple(self.evidence))
+            raise CaseValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not self.wards:
             raise CaseValidationError("a case needs at least one ward")
         by_name = {w.name: w for w in self.wards}
@@ -134,40 +197,18 @@ class CaseFile:
         return names
 
 
-_COUNT_KEYS = ("total_shifts", "suspect_shifts", "total_incidents", "suspect_incidents")
-_WARD_KEYS = {"name", "nurse_count", *_COUNT_KEYS}
-_CASE_KEYS = {"case_name", "suspect", "variant", "wards", "evidence"}
-_EVIDENCE_KEYS = {"label", "lr", "provenance"}
-# a C0, DEL or C1 control character, or a lone surrogate, which UTF-8 cannot encode
-_NOT_TEXT = re.compile(r"[\x00-\x1f\x7f-\x9f\ud800-\udfff]")
-_TOO_LONG = object()  # an integer literal past int()'s digit limit, which stays as it is
+def _absent(record: type) -> dict[str, object]:
+    """_ABSENT for each key a file must give: each field not defaulting to None, "" or ()."""
+    return {key: _ABSENT for key, field in record.__dataclass_fields__.items()
+            if field.default is MISSING or field.default not in (None, "", ())}
 
 
 def _read_int(literal: str) -> int | object:
-    """json.loads's parse_int: _require names the field of a _TOO_LONG literal."""
+    """json.loads's parse_int: the records name the field of a _TOO_LONG literal."""
     try:
         return int(literal)
     except ValueError:
         return _TOO_LONG
-
-
-def _require(obj: dict, key: str, where: str, kinds: type | tuple[type, ...], what: str):
-    """obj[key] if it is one of the JSON kinds given (never a boolean)."""
-    value = obj[key]
-    if value is _TOO_LONG:
-        raise CaseValidationError(f"{where}: {key} is an integer with too many digits to read")
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise CaseValidationError(f"{where}: {key} must be {what}, got {value!r}")
-    return value
-
-
-def _text(obj: dict, key: str, where: str) -> str:
-    """obj[key] if it is a string that a report can print as it is."""
-    value = _require(obj, key, where, str, "a string")
-    if bad := _NOT_TEXT.search(value):
-        raise CaseValidationError(f"{where}: {key} must be printable text, got {bad[0]!r}"
-                                  f" at index {bad.start()}")
-    return value
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -198,6 +239,22 @@ def not_utf8(exc: UnicodeDecodeError) -> CaseValidationError:
                                f" ({exc.reason})")
 
 
+def _records(record: type, entries: list, where: str) -> tuple:
+    """A case-file array as records; a message places its entry as ``where #i``."""
+    records = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise CaseValidationError(f"{where} #{i} must be an object")
+        if unknown := entry.keys() - record.__dataclass_fields__.keys():
+            raise CaseValidationError(f"{where} #{i}: unknown keys {sorted(unknown)}")
+        nulls = {key: _NULL for key, value in entry.items() if value is None}
+        try:
+            records.append(record(**_absent(record) | entry | nulls))
+        except _Unplaced as exc:
+            raise CaseValidationError(f"{where} #{i}: {exc}") from None
+    return tuple(records)
+
+
 def parse_case(text: str | bytes) -> CaseFile:
     """Parse and fully validate a case file; bytes must be UTF-8 text."""
     if isinstance(text, bytes):
@@ -216,63 +273,15 @@ def parse_case(text: str | bytes) -> CaseFile:
         raise CaseValidationError("case file nests too deeply to parse") from None
     if not isinstance(raw, dict):
         raise CaseValidationError("case file must be a JSON object")
-    unknown = set(raw) - _CASE_KEYS
-    if unknown:
+    if unknown := raw.keys() - CaseFile.__dataclass_fields__.keys():
         raise CaseValidationError(f"unknown top-level keys: {sorted(unknown)}")
-    for key in ("case_name", "suspect", "variant", "wards"):
+    for key in _absent(CaseFile):
         if key not in raw:
             raise CaseValidationError(f"missing required key {key!r}")
-    wards = []
-    for i, entry in enumerate(_require(raw, "wards", "case file", list, "an array")):
-        if not isinstance(entry, dict):
-            raise CaseValidationError(f"ward #{i} must be an object")
-        unknown = set(entry) - _WARD_KEYS
-        if unknown:
-            raise CaseValidationError(f"ward #{i}: unknown keys {sorted(unknown)}")
-        if "name" not in entry:
-            raise CaseValidationError(f"ward #{i}: missing key 'name'")
-        name = _require(entry, "name", f"ward #{i}", str, "a string")
-        if not name or "," in name or name != name.strip():  # --wards splits on "," and strips
-            raise CaseValidationError(f"ward #{i}: name must be nonempty, without commas "
-                                      f"or outer whitespace, got {name!r}")
-        _text(entry, "name", f"ward #{i}")
-        for key in _COUNT_KEYS:
-            if key not in entry:
-                raise CaseValidationError(f"{name}: missing key {key!r}")
-        counts = {key: _require(entry, key, name, int, "a decimal integer")
-                  for key in (*_COUNT_KEYS, "nurse_count") if key in entry}
-        wards.append(WardRoster(name=name, **counts))
-    evidence = []
-    raw.setdefault("evidence", [])
-    for i, entry in enumerate(_require(raw, "evidence", "case file", list, "an array")):
-        if not isinstance(entry, dict):
-            raise CaseValidationError(f"evidence #{i} must be an object")
-        unknown = set(entry) - _EVIDENCE_KEYS
-        if unknown:
-            raise CaseValidationError(f"evidence #{i}: unknown keys {sorted(unknown)}")
-        where = f"evidence #{i}"
-        for key in ("label", "lr"):
-            if key not in entry:
-                raise CaseValidationError(f"{where}: missing key {key!r}")
-        entry.setdefault("provenance", "")
-        try:
-            lr = float(_require(entry, "lr", where, (int, float), "a number"))
-        except OverflowError:
-            raise CaseValidationError(f"{where}: lr is too large") from None
-        if not 0.0 < lr < float("inf"):
-            raise CaseValidationError(f"{where}: lr must be positive and finite, got {lr!r}")
-        evidence.append(EvidenceItem(
-            label=_text(entry, "label", where),
-            lr=lr,
-            provenance=_text(entry, "provenance", where),
-        ))
-    return CaseFile(
-        case_name=_text(raw, "case_name", "case file"),
-        suspect=_text(raw, "suspect", "case file"),
-        wards=tuple(wards),
-        variant=_require(raw, "variant", "case file", str, "a string"),
-        evidence=tuple(evidence),
-    )
+    for key, record in (("wards", WardRoster), ("evidence", EvidenceItem)):
+        if isinstance(raw.get(key), list):  # CaseFile names any other kind
+            raw[key] = _records(record, raw[key], key.removesuffix("s"))  # ward #i
+    return CaseFile(**raw)
 
 
 def serialize_case(case: CaseFile) -> str:

@@ -86,11 +86,10 @@ class SuspectIntensity:
 
 def observed_rate(incidents: int, shifts: int) -> SuspectIntensity:
     """mu_L fitted so the suspect's expected count equals her observed count."""
-    if shifts < 1:
-        raise ValueError(f"shifts must be >= 1, got {shifts}")
-    if incidents < 1:
-        raise ValueError(f"cannot fit the suspect's own intensity mu_L = 0/{shifts}"
-                         " (no incidents on the suspect's shifts); LR undefined")
+    if incidents < 1 or shifts < 1:
+        why = "the suspect has no shifts" if shifts < 1 else "no incidents on the suspect's shifts"
+        raise ValueError(f"cannot fit the suspect's own intensity mu_L = {incidents}/{shifts}"
+                         f" ({why}); LR undefined")
     return SuspectIntensity(incidents / shifts, "observed_rate", incidents, shifts)
 
 

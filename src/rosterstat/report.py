@@ -132,6 +132,8 @@ def run_method(
     if method == "bayes":
         if not case.evidence:
             raise ValueError("case file has no evidence array")
+        if not 0.0 < prior < 1.0:  # nan too
+            raise ValueError(f"--prior must be a probability strictly in (0, 1), got {prior!r}")
         shortcut = bayes.OddsState(prior, case.evidence)
         strict = bayes.OddsState(bayes.odds_from_probability(prior), case.evidence)
         return [

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosterstat.bayes import EvidenceItem
 from rosterstat.case import (
     MAX_COUNT,
     VARIANTS,
     CaseFile,
     CaseValidationError,
+    EvidenceItem,
     WardRoster,
     builtin_paper_case,
     named_wards,
@@ -188,11 +188,22 @@ class TestParseCase:
          "^evidence #1: lr is an integer with too many digits to read$"),
         (("case_name",), Token("9" * 5001),
          "^case file: case_name is an integer with too many digits to read$"),
+        # an explicit null is a value of the wrong kind, not a key left out
+        (("wards", 0, "nurse_count"), None,
+         "^JKZ: nurse_count must be a decimal integer, got None$"),
+        (("wards", 1, "total_shifts"), None,
+         "^RKZ-41: total_shifts must be a decimal integer, got None$"),
+        (("evidence",), None, "^case file: evidence must be an array, got None$"),
+        (("evidence", 0, "provenance"), None,
+         "^evidence #0: provenance must be a string, got None$"),
+        (("wards", 0, "total_shifts"), {"a": None},
+         r"^JKZ: total_shifts must be a decimal integer, got \{'a': None\}$"),
     ], ids=["wards", "evidence", "case_name", "suspect", "variant", "ward-name",
             "label", "provenance", "lr-string", "lr-bool", "lr-huge-int", "lr-zero",
             "lr-negative", "lr-past-the-float-range", "NaN", "Infinity", "-Infinity",
             "count-5001-digits", "nurse-count-5001-digits", "lr-5001-digits",
-            "case-name-5001-digits"])
+            "case-name-5001-digits", "null-nurse-count", "null-count", "null-evidence",
+            "null-provenance", "nested-null"])
     def test_wrong_json_type_rejected(self, path, value, message):
         doc = json.loads(json.dumps(VALID_DOC))
         doc["evidence"] = [{"label": "E1", "lr": 0.5, "provenance": "expert"},
@@ -290,6 +301,66 @@ class TestRoundTrip:
         for variant in ("original", "corrected"):
             case = builtin_paper_case(variant)
             assert parse_case(serialize_case(case)) == case
+
+
+class TestCodeBuiltRecords:
+    """A record built in code applies the rules parse_case applies to a file."""
+
+    WARDS = (WardRoster("A", 10, 2, 3, 1),)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: WardRoster("A\n", 10, 2, 3, 1),
+         "name must be nonempty, without commas or outer whitespace, got 'A\\n'"),
+        (lambda: WardRoster("", 10, 2, 3, 1),
+         "name must be nonempty, without commas or outer whitespace, got ''"),
+        (lambda: WardRoster("A\x1bB", 10, 2, 3, 1),
+         r"name must be printable text, got '\x1b' at index 1"),
+        (lambda: WardRoster(7, 10, 2, 3, 1), "name must be a string, got 7"),
+        (lambda: WardRoster("A", True, 0, 0, 0),
+         "A: total_shifts must be a decimal integer, got True"),
+        (lambda: WardRoster("A", 10.0, 2, 3, 1),
+         "A: total_shifts must be a decimal integer, got 10.0"),
+        (lambda: WardRoster("A", 10, 2, 3, None),
+         "A: suspect_incidents must be a decimal integer, got None"),
+        (lambda: EvidenceItem("e", 0), "lr must be positive and finite, got 0.0"),
+        (lambda: EvidenceItem("e", "2"), "lr must be a number, got '2'"),
+        (lambda: EvidenceItem("e", 10**400), "lr is too large"),
+        (lambda: EvidenceItem("e\x00", 2.0),
+         r"label must be printable text, got '\x00' at index 1"),
+        (lambda: EvidenceItem("e", 2.0, "\ud800"),
+         r"provenance must be printable text, got '\ud800' at index 0"),
+        (lambda: CaseFile("t\x1f", "s", TestCodeBuiltRecords.WARDS),
+         r"case file: case_name must be printable text, got '\x1f' at index 1"),
+        (lambda: CaseFile("t", None, TestCodeBuiltRecords.WARDS),
+         "case file: suspect must be a string, got None"),
+        (lambda: CaseFile("t", "s", 5), "case file: wards must be an array, got 5"),
+        (lambda: CaseFile("t", "s", TestCodeBuiltRecords.WARDS, evidence="E1"),
+         "case file: evidence must be an array, got 'E1'"),
+    ], ids=["newline-in-name", "empty-name", "escape-in-name", "name-not-a-string",
+            "bool-count", "float-count", "none-count", "lr-zero", "lr-string", "lr-huge-int",
+            "nul-in-label", "surrogate-in-provenance", "unit-separator-in-case-name",
+            "suspect-none", "wards-not-an-array", "evidence-a-string"])
+    def test_invalid_field_rejected_with_its_name(self, build, message):
+        with pytest.raises(CaseValidationError) as raised:
+            build()
+        assert str(raised.value) == message
+
+    def test_lr_is_held_as_a_float(self):
+        item = EvidenceItem("e", 3)
+        assert item.lr == 3.0 and type(item.lr) is float
+
+    # unfiltered text, numbers of any kind: a case either fails to build or round-trips
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(case_name=st.text(), suspect=st.text(), name=st.text(), label=st.text(),
+           provenance=st.text(), lr=st.floats() | st.integers())
+    def test_every_case_built_in_code_round_trips(self, case_name, suspect, name, label,
+                                                   provenance, lr):
+        try:
+            case = CaseFile(case_name, suspect, (WardRoster(name, 10, 2, 3, 1),),
+                            evidence=(EvidenceItem(label, lr, provenance),))
+        except CaseValidationError:
+            return
+        assert parse_case(serialize_case(case)) == case
 
 
 class TestWardRoster:

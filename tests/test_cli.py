@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +167,15 @@ class TestAnalyze:
         assert shortcut == pytest.approx(8.75, abs=1e-12)
         assert 8.74 <= strict <= 8.76
 
+    @pytest.mark.parametrize("prior, shown", [("0", "0.0"), ("1", "1.0"), ("2", "2.0"),
+                                              ("nan", "nan"), ("1e-400", "0.0")])
+    def test_bad_prior_names_the_flag(self, capsys, prior, shown):
+        code, out, err = run(capsys, "analyze", "--builtin", "corrected", "--method", "bayes",
+                             "--prior", prior)
+        assert (code, out) == (2, "")
+        assert err == ("rosterstat: --prior must be a probability strictly in (0, 1),"
+                       f" got {shown}\n")
+
     def test_bayes_overflow_exits_2_with_nothing_on_stdout(self, tmp_path, capsys):
         doc = json.loads(serialize_case(builtin_paper_case("corrected")))
         doc["evidence"] = [{"label": "huge one", "lr": 1e300},
@@ -312,6 +322,13 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == ("rosterstat: A: cannot fit the suspect's own intensity mu_L = 0/10"
                        " (no incidents on the suspect's shifts); LR undefined\n")
+
+    def test_suspect_without_shifts_names_the_wards(self, tmp_path, capsys):
+        path = self._one_ward_case(tmp_path, 40, 0, 3, 0)
+        code, out, err = run(capsys, "analyze", "--case", path, "--method", "poisson-lr")
+        assert (code, out) == (2, "")
+        assert err == ("rosterstat: A: cannot fit the suspect's own intensity mu_L = 0/0"
+                       " (the suspect has no shifts); LR undefined\n")
 
     def test_intensity_without_shifts_names_the_wards(self, tmp_path, capsys):
         path = self._one_ward_case(tmp_path, 40, 40, 3, 3)
@@ -682,7 +699,7 @@ class TestReproducePaper:
         assert json.loads(out, parse_constant=reject)["results"][0]["computed"] == "Infinity"
 
 
-GOLDEN =json.loads(
+GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
 
 
@@ -693,6 +710,31 @@ class TestGoldenOutput:
     def test_stdout_and_exit_code(self, capsys, record):
         code, out, _ = run(capsys, *record["argv"])
         assert (code, out) == (record["exit_code"], record["stdout"])
+
+
+class TestRecordGolden:
+    """tests/record_golden.py rewrites a copy of the golden file in its own format."""
+
+    @pytest.fixture
+    def recorder(self, tmp_path, monkeypatch):
+        import record_golden
+
+        copy = tmp_path / "cli_golden.json"
+        copy.write_bytes(record_golden.GOLDEN.read_bytes())
+        monkeypatch.setattr(record_golden, "GOLDEN", copy)
+        return record_golden
+
+    def test_rerecording_every_entry_leaves_the_file_unchanged(self, recorder):
+        before = recorder.GOLDEN.read_bytes()
+        assert recorder.main([shlex.join(record["argv"]) for record in GOLDEN]) == 0
+        assert recorder.GOLDEN.read_bytes() == before
+
+    def test_a_new_argv_is_appended_last(self, recorder, capsys):
+        argv = ["analyze", "--builtin", "original", "--method", "per-ward", "--output", "machine"]
+        assert recorder.main([shlex.join(argv)]) == 0
+        records = json.loads(recorder.GOLDEN.read_text(encoding="utf-8"))
+        code, out, _ = run(capsys, *argv)
+        assert records == [*GOLDEN, {"argv": argv, "exit_code": code, "stdout": out}]
 
 
 class TestAnalyzeMatchesReproduce:

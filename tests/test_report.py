@@ -125,15 +125,19 @@ def paper_wards(draw, name):
     return WardRoster(name, n, r, k, x, nurse_count=nurse_count)
 
 
+# the text a record field holds: no control character and no lone surrogate
+printable = st.characters(exclude_categories=("Cc", "Cs"))
+
+
 @st.composite
 def paper_cases(draw):
     names = draw(st.lists(st.sampled_from([JKZ, RKZ_41, RKZ_42, "A", "B"]),
                           min_size=1, max_size=4, unique=True))
-    evidence = st.builds(EvidenceItem, label=st.text(max_size=12),
-                         lr=st.floats(0.01, 100.0), provenance=st.text(max_size=12))
+    evidence = st.builds(EvidenceItem, label=st.text(printable, max_size=12),
+                         lr=st.floats(0.01, 100.0), provenance=st.text(printable, max_size=12))
     return CaseFile(
-        case_name=draw(st.text(max_size=12)),
-        suspect=draw(st.text(max_size=12)),
+        case_name=draw(st.text(printable, max_size=12)),
+        suspect=draw(st.text(printable, max_size=12)),
         wards=tuple(draw(paper_wards(name)) for name in names),
         variant=draw(st.sampled_from(VARIANTS)),
         evidence=tuple(draw(st.lists(evidence, min_size=1, max_size=4))),
@@ -215,9 +219,10 @@ JSON_LEAVES = (
     | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.inf])
     | st.builds(Empty) | _simulation_reports()
     | st.builds(OddsState, prior_odds=st.floats(1e-300, 1e290),
-                applied=st.lists(st.builds(EvidenceItem, label=st.text(),
+                applied=st.lists(st.builds(EvidenceItem, label=st.text(printable),
                                            lr=st.floats(1e-3, 1e3),
-                                           provenance=st.text()), max_size=3).map(tuple))
+                                           provenance=st.text(printable)),
+                                 max_size=3).map(tuple))
 )
 JSON_TREES = st.recursive(
     JSON_LEAVES,
