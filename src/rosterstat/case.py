@@ -52,9 +52,16 @@ class _Unplaced(CaseValidationError):
     """A field's error that leaves out where the field is, which parse_case adds."""
 
 
+class _TooLong:
+    """What parse_case reads for an integer literal past int()'s digit limit."""
+
+    def __repr__(self) -> str:  # a message that shows a nested one prints this
+        return "<an integer with too many digits to read>"
+
+
 # What parse_case passes a record for a key left out, for a key given as null
 # (not read as left out) and for an integer literal past int()'s digit limit.
-_ABSENT, _NULL, _TOO_LONG = object(), object(), object()
+_ABSENT, _NULL, _TOO_LONG = object(), object(), _TooLong()
 # a C0, DEL or C1 control character, or a lone surrogate, which UTF-8 cannot encode
 _NOT_TEXT = re.compile(r"[\x00-\x1f\x7f-\x9f\ud800-\udfff]")
 

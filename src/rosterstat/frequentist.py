@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from rosterstat.case import JKZ, CaseFile, WardRoster, named_wards, pool_wards
-from rosterstat.distributions import (
-    chi2_survival_even,
-    convolve,
-    hypergeom_dist,
-    hypergeom_tail,
-)
+from rosterstat.distributions import chi2_survival_even, hypergeom_sum_tail, hypergeom_tail
 
 NOT_A_P_VALUE = (
     "NOT a p-value: a product of per-ward tail probabilities shrinks with "
@@ -134,18 +129,17 @@ def convolved_sum_test(case: CaseFile, names: Sequence[str]) -> TestResult:
     """Tail of the sum of independent per-ward suspect-incident counts.
 
     Keeps each ward's own incident rate (unlike pooling) and asks for the
-    probability that the total over wards reaches the suspect's total.
+    probability that the total over wards reaches the suspect's total. At
+    paper scale the tail is summed in a fixed order without numpy, so it has
+    the same bits on every platform; past ``hypergeom_sum_tail``'s bound it
+    comes from ``np.convolve``.
     """
     rosters = named_wards(case, names)
     s_min = sum(w.suspect_incidents for w in rosters)
-    dists = [
-        hypergeom_dist(w.total_shifts, w.suspect_shifts, w.total_incidents)
-        for w in rosters
-    ]
-    p = convolve(*dists).tail(s_min)
-    components = tuple(
-        (w.name, d.tail(w.suspect_incidents), 1.0) for w, d in zip(rosters, dists)
-    )
+    counts = [(w.total_shifts, w.suspect_shifts, w.total_incidents) for w in rosters]
+    p = hypergeom_sum_tail(counts, s_min)
+    components = tuple((w.name, hypergeom_tail(*c, w.suspect_incidents), 1.0)
+                       for w, c in zip(rosters, counts))
     return TestResult(
         method="convolved_sum",
         p_value=p,

@@ -220,6 +220,15 @@ class TestParseCase:
             parse_case(text)
         assert sys.get_int_max_str_digits() == limit
 
+    def test_too_long_integer_nested_in_a_field_has_a_fixed_message(self):
+        doc = json.loads(json.dumps(VALID_DOC))
+        doc["wards"][0]["total_shifts"] = ["LONG"]
+        with pytest.raises(CaseValidationError) as raised:
+            parse_case(json.dumps(doc).replace('"LONG"', "9" * 5001))
+        assert "object at 0x" not in str(raised.value)
+        assert str(raised.value) == ("JKZ: total_shifts must be a decimal integer, "
+                                     "got [<an integer with too many digits to read>]")
+
     @pytest.mark.parametrize("path, where", [
         (("case_name",), "case file"), (("suspect",), "case file"),
         (("wards", 1, "name"), "ward #1"), (("evidence", 0, "label"), "evidence #0"),

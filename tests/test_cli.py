@@ -13,7 +13,7 @@ import pytest
 
 import rosterstat
 from rosterstat import cli, report, risk_sim
-from rosterstat.case import builtin_paper_case, serialize_case
+from rosterstat.case import CaseFile, WardRoster, builtin_paper_case, serialize_case
 from rosterstat.cli import main
 from rosterstat.report import ReproRow, reproduce_paper
 
@@ -588,7 +588,8 @@ MODULE_ONLY_NAMES = [
     ("distributions", "DiscreteDist"), ("distributions", "binomial_tail"),
     ("distributions", "chi2_survival_even"), ("distributions", "convolve"),
     ("distributions", "hypergeom_dist"), ("distributions", "hypergeom_pmf"),
-    ("distributions", "hypergeom_tail"), ("distributions", "poisson_dist"),
+    ("distributions", "hypergeom_sum_tail"), ("distributions", "hypergeom_tail"),
+    ("distributions", "poisson_dist"),
     ("frequentist", "TestResult"), ("poisson_model", "IntensityEstimate"),
     ("poisson_model", "LikelihoodRatio"), ("poisson_model", "SuspectIntensity"),
     ("poisson_model", "verbal_scale"), ("case", "serialize_case"),
@@ -598,14 +599,14 @@ MODULE_ONLY_NAMES = [
 
 
 class TestNumpyStaysOut:
-    """Only convolved and relative-risk need numpy; nothing else loads it.
+    """Only relative-risk, and convolved past its bound, need numpy.
 
     No CLI run loads fractions: the exact methods keep their ratios as
     integer pairs.
     """
 
     @pytest.mark.parametrize("method", [
-        "elffers", "per-ward", "bonferroni", "pooled", "fisher",
+        "elffers", "per-ward", "bonferroni", "pooled", "convolved", "fisher",
         "poisson-lr", "binomial-cond", "bayes",
     ])
     def test_exact_methods(self, method):
@@ -613,6 +614,24 @@ class TestNumpyStaysOut:
                          "--method", method, "--jkz-multiplier", "27")
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("case: Lucia de B.")
+
+    def test_convolved_on_four_wards_of_31_points(self, tmp_path):
+        # k = 30 in each ward, the widest screening shape: 1,984 products
+        wards = tuple(WardRoster(f"W{i}", 1000, 150, 30, 8) for i in range(4))
+        path = tmp_path / "four-wards.json"
+        path.write_text(serialize_case(CaseFile("four wards", "s", wards)), encoding="utf-8")
+        done = run_fresh(NUMPY_GUARD, "analyze", "--case", str(path), "--method", "convolved")
+        assert done.returncode == 0, done.stderr
+        assert "p_value: 0.0" in done.stdout
+
+    def test_sum_tail_just_under_its_bound(self):
+        # 3,000 points in the first ward, each meeting one target of the last
+        done = run_fresh(
+            "import sys; from rosterstat import distributions as d; "
+            "assert d._SUM_TAIL_PRODUCTS == 3_000; "
+            "p = d.hypergeom_sum_tail([(10_000, 5_000, 2_999), (10, 1, 1)], 1_500); "
+            "assert 0 < p < 1 and 'numpy' not in sys.modules, p")
+        assert done.returncode == 0, done.stderr
 
     def test_rejected_case_file(self, tmp_path):
         doc = json.loads(serialize_case(builtin_paper_case("corrected")))

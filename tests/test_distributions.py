@@ -34,6 +34,7 @@ from rosterstat.distributions import (
     convolve,
     hypergeom_dist,
     hypergeom_pmf,
+    hypergeom_sum_tail,
     hypergeom_tail,
     poisson_dist,
 )
@@ -431,6 +432,40 @@ class TestKernelProperties:
         names = [f"W{i}" for i in range(len(wards))]
         n, r, k, x = (sum(column) for column in zip(*wards))
         assert pooled_test(case_of(wards), names).p_value == hypergeom_tail(n, r, k, x)
+
+
+class TestHypergeomSumTail:
+    @PROPERTY
+    @given(st.lists(rosters(max_shifts=30), min_size=2, max_size=4), st.integers(-2, 2))
+    def test_matches_the_exact_tail_under_the_bound(self, wards, shift):
+        # k <= 30, so at most 31 points a ward and 2,883 products for 4 wards
+        s_min = sum(w[3] for w in wards) + shift
+        with mock.patch.object(distributions, "convolve", side_effect=AssertionError):
+            got = hypergeom_sum_tail([w[:3] for w in wards], s_min)
+        assert got == pytest.approx(float(exact_sum_tail(wards, s_min)), rel=1e-13, abs=0)
+
+    # The first ward's points each meet one target of the last ward, t = 1,
+    # the only t between its least sum, 0, and its most, 1: one product a point.
+    @pytest.mark.parametrize("k, numpy_calls", [(2_999, 0), (3_000, 1)])
+    def test_numpy_serves_only_past_the_bound(self, k, numpy_calls):
+        assert distributions._SUM_TAIL_PRODUCTS == 3_000
+        wards = [(10_000, 5_000, k), (10, 1, 1)]
+        with mock.patch.object(distributions, "convolve", wraps=convolve) as spy:
+            got = hypergeom_sum_tail(wards, 1_500)
+        assert spy.call_count == numpy_calls
+        numpys = convolve(*(hypergeom_dist(*w) for w in wards)).tail(1_500)
+        if numpy_calls:
+            assert got == numpys
+        else:
+            assert got == pytest.approx(numpys, rel=1e-13, abs=0)
+
+    def test_rkz_pair_bits(self):
+        # np.convolve gave 0.021553399072690983; exactly rounded it is 0.021553399072690972
+        assert hypergeom_sum_tail([(336, 3, 5), (339, 58, 14)], 6) == 0.02155339907269098
+
+    def test_no_ward_rejected(self):
+        with pytest.raises(ValueError, match="at least one ward"):
+            hypergeom_sum_tail([], 0)
 
 
 def former_from_log_ratios(support_min, log_ratios):

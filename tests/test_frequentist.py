@@ -264,7 +264,8 @@ def test_one_screen_builds_each_vector_and_the_pool_once(monkeypatch):
     for basis in ("exclude_suspect", "include_suspect"):
         estimate_mu(case, basis, names)
     after = vectors.cache_info(), len(built)
-    # 3 wards and the pool; the convolution reads the 3 wards' vectors again.
-    assert (after[0].misses - before[0].misses, after[0].hits - before[0].hits) == (4, 3)
+    # 3 wards and the pool; the convolution and its per-ward components each
+    # read the 3 wards' vectors again.
+    assert (after[0].misses - before[0].misses, after[0].hits - before[0].hits) == (4, 6)
     # pooled_test pools; the binomial test and both bases read that pool.
     assert after[1] - before[1] == 1 and pool_wards(case, names) is built[-1]
