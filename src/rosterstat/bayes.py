@@ -60,17 +60,8 @@ def odds_from_probability(p: float) -> float:
 
 
 def update(state: OddsState, evidence: EvidenceItem) -> OddsState:
-    """Apply one evidence item, multiplying the posterior odds by its LR.
-
-    Only the new product is formed: the state's posterior odds already hold
-    the earlier items' products, in the same order, so the result equals
-    ``OddsState(state.prior_odds, state.applied + (evidence,))`` bit for bit.
-    """
-    new = object.__new__(OddsState)
-    object.__setattr__(new, "prior_odds", state.prior_odds)
-    object.__setattr__(new, "applied", state.applied + (evidence,))
-    object.__setattr__(new, "posterior_odds", _times_lr(state.posterior_odds, evidence))
-    return new
+    """Apply one evidence item, multiplying the posterior odds by its LR."""
+    return OddsState(state.prior_odds, state.applied + (evidence,))
 
 
 def posterior_probability(state: OddsState) -> float:

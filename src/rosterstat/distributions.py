@@ -27,9 +27,9 @@ The hypergeometric vector is memoized. One analysis reads each ward's
 vector twice (its own tail, then the convolution over wards) and the
 pool's vector once, so the last ``_MEMO_SIZE`` (32) vectors are kept,
 keyed by ``(n, r, k)`` and their types; the bound caps what is kept
-between analyses. ``hypergeom_tail`` and ``hypergeom_pmf`` read the kept
-vector in place; ``hypergeom_dist`` returns a copy, so no caller can change
-what the memo holds. A call that raises keeps nothing.
+between analyses. ``hypergeom_tail``, ``hypergeom_pmf`` and
+``hypergeom_sum_tail`` read the kept vector in place and hand none of it out,
+so no caller can change what the memo holds. A call that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -138,7 +138,13 @@ def _from_log_ratios(support_min: int, log_ratios: list[float]) -> DiscreteDist:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _hypergeom_vector(n: int, r: int, k: int) -> tuple[int, array]:
-    """(support_min, pmf vector) of the hypergeometric; kept, so never written."""
+    """(support_min, pmf vector) of the hypergeometric; kept, so never written.
+
+    P(X = x) is C(r,x) * C(n-r, k-x) / C(n,k), the conditional pmf of the
+    suspect's incident count: incidents land uniformly on shifts, conditioned
+    on the observed totals, which cancels the unknown per-shift incident
+    probability.
+    """
     if not (0 <= r <= n):
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     if not (0 <= k <= n):
@@ -156,17 +162,6 @@ def _hypergeom_vector(n: int, r: int, k: int) -> tuple[int, array]:
         raise ValueError(f"hypergeometric pmf of n={n}, r={r}, k={k} cannot be built: "
                          f"counts past 2**53 round when converted to floats") from None
     return lo, _from_log_ratios(lo, log_ratios).probabilities
-
-
-def hypergeom_dist(n: int, r: int, k: int) -> DiscreteDist:
-    """The conditional pmf of the suspect's incident count, over its support.
-
-    P(X = x) is C(r,x) * C(n-r, k-x) / C(n,k): incidents land uniformly on
-    shifts, conditioned on the observed totals, which cancels the unknown
-    per-shift incident probability.
-    """
-    lo, probs = _hypergeom_vector(n, r, k)
-    return _kernel_dist(lo, probs[:])
 
 
 def hypergeom_pmf(n: int, r: int, k: int, x: int) -> float:
@@ -226,9 +221,10 @@ def hypergeom_sum_tail(wards: Sequence[tuple[int, int, int]], x_min: int) -> flo
     survival function, T_m(t) = P(X_m >= t), a running sum taken down from the
     top of its support. Each earlier ward j gives
     T_j(t) = sum_x p_j(x) T_{j+1}(t - x), the exactly rounded ``math.fsum``
-    of its products, at only the t that x_min needs. No value depends on a
-    summation order that the CPU or a library picks, so the result has the
-    same bits on every platform. One ward gives its own tail. Past
+    of its products, at only the t that x_min needs. The sums run in a fixed
+    order, so the result does not depend on numpy's BLAS build or the CPU's
+    kernel choice; the vectors' own bits still come from the platform's
+    ``math.exp`` and ``math.log``. One ward gives its own tail. Past
     _SUM_TAIL_PRODUCTS products, the wards go to ``convolve`` instead.
     """
     if not wards:

@@ -130,9 +130,9 @@ def convolved_sum_test(case: CaseFile, names: Sequence[str]) -> TestResult:
 
     Keeps each ward's own incident rate (unlike pooling) and asks for the
     probability that the total over wards reaches the suspect's total. At
-    paper scale the tail is summed in a fixed order without numpy, so it has
-    the same bits on every platform; past ``hypergeom_sum_tail``'s bound it
-    comes from ``np.convolve``.
+    paper scale the tail is summed in a fixed order without numpy, so it does
+    not depend on numpy's BLAS build or the CPU's kernel choice; past
+    ``hypergeom_sum_tail``'s bound it comes from ``np.convolve``.
     """
     rosters = named_wards(case, names)
     s_min = sum(w.suspect_incidents for w in rosters)

@@ -587,7 +587,7 @@ PUBLIC_NAMES = [
 MODULE_ONLY_NAMES = [
     ("distributions", "DiscreteDist"), ("distributions", "binomial_tail"),
     ("distributions", "chi2_survival_even"), ("distributions", "convolve"),
-    ("distributions", "hypergeom_dist"), ("distributions", "hypergeom_pmf"),
+    ("distributions", "hypergeom_pmf"),
     ("distributions", "hypergeom_sum_tail"), ("distributions", "hypergeom_tail"),
     ("distributions", "poisson_dist"),
     ("frequentist", "TestResult"), ("poisson_model", "IntensityEstimate"),
