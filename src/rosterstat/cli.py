@@ -103,6 +103,10 @@ def _reproduce(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # numpy's OpenBLAS starts a spinning worker thread per extra core at load:
+    # on 2 vCPUs it halved the main thread's speed, and it changed the bits of
+    # np.convolve. Set here, not in the library; a value the user set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

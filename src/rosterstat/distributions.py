@@ -15,10 +15,10 @@ products it hands the vectors to ``convolve``, the one function that imports
 numpy, for one ``np.convolve`` chain. Each kernel converts its integer counts
 to floats once per call, which gives the same terms as int operands would,
 bit for bit.
-A kernel's vector is valid by construction (nonempty and non-negative,
-normalised by its own ``math.fsum`` or convolved from such vectors), so it
-is built once and handed over unchecked; a ``DiscreteDist`` built from
-outside input is copied and checked.
+A pmf is one ``(support_min, vector)`` pair: the ``array('d')`` holds
+P(X = support_min), P(X = support_min + 1), ... No outside input reaches a
+vector, so none is checked: each is normalised by its own ``math.fsum`` or
+convolved from such vectors.
 Probabilities that land within 1e-12 of [0, 1] are clamped to the
 boundary; anything further out raises, because a larger excursion means a
 bug rather than rounding.
@@ -38,7 +38,6 @@ import functools
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
 
@@ -75,52 +74,15 @@ def _clamp_probability(p: float) -> float:
     return p
 
 
-@dataclass(frozen=True)
-class DiscreteDist:
-    """A pmf over a contiguous integer support starting at ``support_min``.
-
-    The constructor copies ``probabilities`` into an ``array('d')`` and
-    rejects an empty, negative, NaN or unnormalised vector. The kernels
-    below skip that: their vectors are valid by construction and reach
-    ``_kernel_dist`` already built as an ``array('d')``.
-    """
-
-    support_min: int
-    probabilities: array = field(repr=False)  # array('d')
-
-    def __post_init__(self) -> None:
-        probs = array("d", self.probabilities)
-        object.__setattr__(self, "probabilities", probs)
-        if not probs:
-            raise ValueError("probabilities must be a nonempty vector")
-        if min(probs) < 0:
-            raise ValueError("probabilities must be non-negative")
-        total = math.fsum(probs)
-        if not abs(total - 1.0) <= _CLAMP_TOL:  # also rejects a NaN entry
-            raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-12")
-
-    @property
-    def support_max(self) -> int:
-        return self.support_min + len(self.probabilities) - 1
-
-    def tail(self, x_min: int) -> float:
-        """P(X >= x_min), as an exactly rounded sum of the upper slice."""
-        if x_min <= self.support_min:
-            return 1.0
-        upper = self.probabilities[x_min - self.support_min:]
-        return _clamp_probability(math.fsum(upper))
+def _tail(support_min: int, probabilities: array, x_min: int) -> float:
+    """P(X >= x_min) of the pmf pair, as an exactly rounded sum of the upper slice."""
+    if x_min <= support_min:
+        return 1.0
+    return _clamp_probability(math.fsum(probabilities[x_min - support_min:]))
 
 
-def _kernel_dist(support_min: int, probabilities: array) -> DiscreteDist:
-    """A DiscreteDist holding a kernel's own array('d'), neither copied nor checked."""
-    dist = object.__new__(DiscreteDist)
-    object.__setattr__(dist, "support_min", support_min)
-    object.__setattr__(dist, "probabilities", probabilities)
-    return dist
-
-
-def _from_log_ratios(support_min: int, log_ratios: list[float]) -> DiscreteDist:
-    """The pmf whose successive ratios p(x+1)/p(x) have these logs.
+def _from_log_ratios(log_ratios: list[float]) -> array:
+    """The pmf vector whose successive ratios p(x+1)/p(x) have these logs.
 
     The pmf must be log-concave (the ratios decrease), so its mode sits
     just after the last positive log-ratio. The logs are cumulated out from
@@ -133,7 +95,7 @@ def _from_log_ratios(support_min: int, log_ratios: list[float]) -> DiscreteDist:
     below.reverse()
     probs = list(map(math.exp, (*below, 0.0, *accumulate(log_ratios[mode:]))))
     total = math.fsum(probs)
-    return _kernel_dist(support_min, array("d", [p / total for p in probs]))
+    return array("d", [p / total for p in probs])
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
@@ -161,20 +123,18 @@ def _hypergeom_vector(n: int, r: int, k: int) -> tuple[int, array]:
     except ValueError:  # a ratio rounded to 0 or below
         raise ValueError(f"hypergeometric pmf of n={n}, r={r}, k={k} cannot be built: "
                          f"counts past 2**53 round when converted to floats") from None
-    return lo, _from_log_ratios(lo, log_ratios).probabilities
+    return lo, _from_log_ratios(log_ratios)
 
 
 def hypergeom_pmf(n: int, r: int, k: int, x: int) -> float:
     """P(suspect saw exactly x of the k incidents | r of n shifts were hers)."""
-    dist = _kernel_dist(*_hypergeom_vector(n, r, k))
-    if not dist.support_min <= x <= dist.support_max:
-        return 0.0
-    return dist.probabilities[x - dist.support_min]
+    lo, vector = _hypergeom_vector(n, r, k)
+    return vector[x - lo] if lo <= x < lo + len(vector) else 0.0
 
 
 def hypergeom_tail(n: int, r: int, k: int, x_min: int) -> float:
     """P(suspect saw at least x_min incidents) under the conditional model."""
-    return _kernel_dist(*_hypergeom_vector(n, r, k)).tail(x_min)
+    return _tail(*_hypergeom_vector(n, r, k), x_min)
 
 
 def binomial_tail(trials: int, success_prob: float, x_min: int) -> float:
@@ -189,19 +149,20 @@ def binomial_tail(trials: int, success_prob: float, x_min: int) -> float:
         return 1.0 if x_min <= trials else 0.0
     log_odds = math.log(success_prob) - math.log1p(-success_prob)
     trials_f = float(trials)
-    return _from_log_ratios(0, [
+    return _tail(0, _from_log_ratios([
         math.log((trials_f - x) / (x + 1.0)) + log_odds for x in map(float, range(trials))
-    ]).tail(x_min)
+    ]), x_min)
 
 
-def convolve(*dists: DiscreteDist) -> DiscreteDist:
-    """The distribution of the sum of independent variables with these pmfs.
+def convolve(*pmfs: tuple[int, array]) -> tuple[int, array]:
+    """The pmf pair of the sum of independent variables with these pmf pairs.
 
     ``np.convolve`` sums each point's products through numpy's BLAS dot, in no
-    fixed order, so a point's last bit depends on the numpy build and the CPU.
+    fixed order, so a point's last bit depends on the numpy build, the CPU and
+    BLAS's thread count (the CLI starts OpenBLAS with one thread).
     ``hypergeom_sum_tail`` calls it only past ``_SUM_TAIL_PRODUCTS``.
     """
-    if not dists:
+    if not pmfs:
         raise ValueError("convolve needs at least one distribution")
     import numpy as np  # loaded here only, so the exact tests run without it
 
@@ -209,8 +170,8 @@ def convolve(*dists: DiscreteDist) -> DiscreteDist:
     # the product of the inputs' totals up to rounding, so the vector is as
     # valid as its inputs. array("d", bytes) copies numpy's doubles in one
     # frombytes call.
-    probs = functools.reduce(np.convolve, [d.probabilities for d in dists])
-    return _kernel_dist(sum(d.support_min for d in dists), array("d", probs.tobytes()))
+    probs = functools.reduce(np.convolve, [vector for _, vector in pmfs])
+    return sum(lo for lo, _ in pmfs), array("d", probs.tobytes())
 
 
 def hypergeom_sum_tail(wards: Sequence[tuple[int, int, int]], x_min: int) -> float:
@@ -231,7 +192,7 @@ def hypergeom_sum_tail(wards: Sequence[tuple[int, int, int]], x_min: int) -> flo
         raise ValueError("hypergeom_sum_tail needs at least one ward")
     kept = [_hypergeom_vector(n, r, k) for n, r, k in wards]
     if len(kept) == 1:
-        return _kernel_dist(*kept[0]).tail(x_min)
+        return _tail(*kept[0], x_min)
     # Ward j is asked for T_j(t) at each t in [low, high]: x_min less the most
     # and the least that the wards before j can sum to. T_j(t) is 1 at or
     # below the least sum of wards j, j+1, ... (least), 0 above their most
@@ -247,7 +208,7 @@ def hypergeom_sum_tail(wards: Sequence[tuple[int, int, int]], x_min: int) -> flo
     products = sum(len(vector) * max(0, min(high, most) - max(low - 1, least))
                    for (_, vector), (low, high, least, most) in zip(kept[:-1], asks))
     if products > _SUM_TAIL_PRODUCTS:
-        return convolve(*(_kernel_dist(*v) for v in kept)).tail(x_min)
+        return _tail(*convolve(*kept), x_min)
     (lo, vector), (low, high, least, most) = kept[-1], asks[-1]
     # survival[most - t] = P(X_m >= t), summed from the top down to the least t asked
     survival = list(accumulate(reversed(vector[max(low - lo, 1):])))
@@ -263,19 +224,19 @@ def hypergeom_sum_tail(wards: Sequence[tuple[int, int, int]], x_min: int) -> flo
     return _clamp_probability(tails[0])
 
 
-def poisson_dist(mean: float) -> DiscreteDist:
-    """X ~ Poisson(mean) over the counts mean +- (40 * sqrt(mean) + 800), from 0.
+def poisson_dist(mean: float) -> tuple[int, array]:
+    """The pmf pair of Poisson(mean) over the counts mean +- (40 * sqrt(mean) + 800), from 0.
 
     Every count outside that window has a scaled term that underflows to 0.0.
     """
     if not (0.0 <= mean < math.inf):
         raise ValueError(f"mean must be non-negative and finite, got {mean!r}")
     if mean == 0.0:
-        return _kernel_dist(0, array("d", [1.0]))
+        return 0, array("d", [1.0])
     half_width = 40.0 * math.sqrt(mean) + 800.0
     counts = range(max(0, math.floor(mean - half_width)), math.ceil(mean + half_width))
     log_mean = math.log(mean)
-    return _from_log_ratios(counts.start, [log_mean - math.log(x + 1.0)
+    return counts.start, _from_log_ratios([log_mean - math.log(x + 1.0)
                                            for x in map(float, counts)])
 
 

@@ -6,7 +6,9 @@ observed value? With equal shifts the maximum relative risk belongs to the
 nurse with the most incidents, so only the maximum and the total matter.
 simulate_max_rr draws each nurse's count by inverting a uniform through the
 running sum of the poisson_dist vector; exact_max_rr_tail sums the same pmf
-exactly, conditioning on the total.
+exactly, conditioning on the total; both unpack poisson_dist's
+(support_min, vector) pair. Only exact_max_rr_tail's np.convolve calls BLAS;
+this module leaves BLAS's thread count to its host (the CLI sets one thread).
 
 Randomness is counter-based (Philox keyed by the master seed): replicate i
 reads a fixed, padded slice of the uniform stream, so any partition of the
@@ -125,9 +127,9 @@ def _poisson_inversion_table(mean: float) -> tuple[int, np.ndarray]:
     first entry equal to the full sum; a uniform at or past that entry maps
     to the count just after it.
     """
-    dist = poisson_dist(mean)
-    cdf = np.cumsum(dist.probabilities)
-    return dist.support_min, cdf[: np.searchsorted(cdf, cdf[-1]) + 1]
+    first, probabilities = poisson_dist(mean)
+    cdf = np.cumsum(probabilities)
+    return first, cdf[: np.searchsorted(cdf, cdf[-1]) + 1]
 
 
 def _exceeds(max_counts: np.ndarray, totals: np.ndarray, I: int,
@@ -267,8 +269,8 @@ def exact_max_rr_tail(I: int, r: int, mu: float, threshold: float,
         raise ValueError(f"exact calibration needs 2 <= I <= 10**6, got {I}")
     if not threshold >= 0:  # NaN fails this too
         raise ValueError(f"threshold must be non-negative, got {threshold!r}")
-    dist = poisson_dist(mu * r)
-    pmf = np.concatenate([np.zeros(dist.support_min), dist.probabilities])[:count_cap + 1]
+    first, probabilities = poisson_dist(mu * r)
+    pmf = np.concatenate([np.zeros(first), probabilities])[:count_cap + 1]
     truncated = 1.0 - math.fsum(pmf)
     if truncated >= 1e-10:
         raise ValueError(f"count_cap={count_cap} leaves Poisson mass {truncated:.3e} >= 1e-10")

@@ -585,7 +585,7 @@ PUBLIC_NAMES = [
     "ward_tail_p",
 ]
 MODULE_ONLY_NAMES = [
-    ("distributions", "DiscreteDist"), ("distributions", "binomial_tail"),
+    ("distributions", "binomial_tail"),
     ("distributions", "chi2_survival_even"), ("distributions", "convolve"),
     ("distributions", "hypergeom_pmf"),
     ("distributions", "hypergeom_sum_tail"), ("distributions", "hypergeom_tail"),
@@ -681,6 +681,41 @@ def test_cli_offers_the_report_layers_methods_in_order():
         assert report.run_method(case, method, names, jkz_multiplier=27, replicates=200)
     with pytest.raises(ValueError, match="unknown method 'nope'"):
         report.run_method(case, "nope", names)
+
+
+# Runs rosterstat.cli.main in a fresh interpreter with its output discarded,
+# then prints the process's thread count.
+THREAD_COUNT = """
+import contextlib, io, sys
+import rosterstat.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = rosterstat.cli.main(sys.argv[1:])
+assert code == 0 and "numpy" in sys.modules
+print(next(line for line in open("/proc/self/status") if line.startswith("Threads:")), end="")
+"""
+
+
+class TestOneBlasThread:
+    """main starts OpenBLAS with one thread unless the user set a count."""
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("4", "4")])
+    def test_main_sets_the_count_once(self, monkeypatch, capsys, preset, expected):
+        # set before it is deleted, so the undo also removes what main sets
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "")
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert run(capsys, "analyze", "--builtin", "corrected", "--method", "pooled")[0] == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == expected
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_relative_risk_runs_on_one_thread(self):
+        env = {name: value for name, value in os.environ.items()
+               if name != "OPENBLAS_NUM_THREADS"}
+        done = subprocess.run(
+            [sys.executable, "-c", THREAD_COUNT, "analyze", "--builtin", "corrected",
+             "--method", "relative-risk", "--replicates", "2000"],
+            capture_output=True, text=True, env={**env, "PYTHONPATH": str(SRC)}, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "Threads:\t1\n"), done.stderr
 
 
 class TestReproducePaper:

@@ -5,8 +5,9 @@ hypergeometric values come from big-integer fractions, the Poisson pmf
 from mpmath, and the chi-squared survival function from numerical
 quadrature of the density. The float-operand class keeps the kernels'
 earlier expressions, with int operands inside each term, as a bit-for-bit
-oracle for the float-operand kernels; the last class checks that every
-vector a kernel hands over unchecked would pass the public checks.
+oracle for the float-operand kernels. A pmf is a (support_min, vector) pair;
+the kernels check none of their vectors, so a property checks every kind of
+vector they build.
 """
 
 import math
@@ -28,7 +29,8 @@ from rosterstat.case import CaseFile, WardRoster
 from rosterstat import distributions
 from rosterstat.distributions import (
     ConsistencyError,
-    DiscreteDist,
+    _hypergeom_vector,
+    _tail,
     binomial_tail,
     chi2_survival_even,
     convolve,
@@ -38,11 +40,6 @@ from rosterstat.distributions import (
     poisson_dist,
 )
 from rosterstat.frequentist import convolved_sum_test, pooled_test, ward_tail_p
-
-
-def kept_hypergeom(n, r, k):
-    """The memo's hypergeometric vector as a DiscreteDist; read it, never write it."""
-    return distributions._kernel_dist(*distributions._hypergeom_vector(n, r, k))
 
 
 def exact_hg_pmf(n, r, k, x):
@@ -181,59 +178,60 @@ class TestBinomialTail:
             binomial_tail(5, -0.1, 1)
 
 
-def extended_poisson_vector(dist, mean):
-    """The Poisson kernel's vector over dist's window plus one point each side.
+def extended_poisson_vector(support_min, vector, mean):
+    """The Poisson kernel's pmf pair over a window plus one point each side.
 
     Built from the same log-ratios as poisson_dist; no point is added below 0.
     """
-    lo = max(0, dist.support_min - 1)
+    lo = max(0, support_min - 1)
     log_mean = math.log(mean)
-    return distributions._from_log_ratios(lo, [
-        log_mean - math.log(x + 1.0) for x in map(float, range(lo, dist.support_max + 1))
+    return lo, distributions._from_log_ratios([
+        log_mean - math.log(x + 1.0)
+        for x in map(float, range(lo, support_min + len(vector)))
     ])
 
 
 class TestPoissonDist:
     def test_zero_count(self):
         for m in (0.3, 1.7, 9.0):
-            dist = poisson_dist(m)
-            assert dist.support_min == 0
-            assert dist.probabilities[0] == pytest.approx(math.exp(-m), rel=1e-13, abs=0)
+            support_min, vector = poisson_dist(m)
+            assert support_min == 0
+            assert vector[0] == pytest.approx(math.exp(-m), rel=1e-13, abs=0)
 
     def test_degenerate_at_zero(self):
-        dist = poisson_dist(0.0)
-        assert (dist.support_min, list(dist.probabilities)) == (0, [1.0])
+        support_min, vector = poisson_dist(0.0)
+        assert (support_min, list(vector)) == (0, [1.0])
 
     @pytest.mark.parametrize("mean", [0.01, 0.37, 1.2915, 8.0, 61 * 13 / 614, 50.0,
                                       500.0, 9000.0])
     def test_high_precision_oracle(self, mean):
-        dist = poisson_dist(mean)
+        support_min, vector = poisson_dist(mean)
+        counts = range(support_min, support_min + len(vector))
         # 40 digits: log k! reaches about 1.2e5 in the widest window here, and its
         # rounding must stay well below the 1e-11 being checked
         with mpmath.workdps(40):
             m = mpmath.mpf(mean)
             exact = [float(mpmath.exp(-m + k * mpmath.log(m) - mpmath.loggamma(k + 1)))
-                     for k in range(dist.support_min, dist.support_max + 1)]
-        for k, p, want in zip(range(dist.support_min, dist.support_max + 1),
-                              dist.probabilities, exact):
+                     for k in counts]
+        for k, p, want in zip(counts, vector, exact):
             # subnormal points carry only their rounding's absolute error
             assert p == pytest.approx(want, rel=1e-11, abs=1e-320), (mean, k)
 
     def test_window_clipped_at_zero_and_centred_on_the_mean(self):
-        assert poisson_dist(1000.0).support_min == 0
-        dist = poisson_dist(1e4)
-        assert (dist.support_min, dist.support_max) == (5200, 14800)
+        assert poisson_dist(1000.0)[0] == 0
+        support_min, vector = poisson_dist(1e4)
+        assert (support_min, support_min + len(vector) - 1) == (5200, 14800)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.floats(-3.0, 6.0).map(lambda e: 10.0**e))
     def test_first_point_past_each_end_underflows(self, mean):
-        dist = poisson_dist(mean)
-        wider = extended_poisson_vector(dist, mean)
-        left = dist.support_min - wider.support_min  # 1, or 0 at the support's edge
-        assert wider.probabilities[-1] == 0.0
-        assert wider.probabilities[:left].tolist() == [0.0] * left
+        support_min, vector = poisson_dist(mean)
+        wider_min, wider = extended_poisson_vector(support_min, vector, mean)
+        left = support_min - wider_min  # 1, or 0 at the support's edge
+        assert wider[-1] == 0.0
+        assert wider[:left].tolist() == [0.0] * left
         # the added zeros leave every point of the window bit for bit
-        assert wider.probabilities[left:-1] == dist.probabilities
+        assert wider[left:-1] == vector
 
     @pytest.mark.parametrize("mean", [-0.5, math.inf, math.nan])
     def test_bad_mean_rejected(self, mean):
@@ -272,9 +270,8 @@ class TestChi2SurvivalEven:
 
 class TestConvolveTail:
     def test_paper_rkz_pair(self):
-        d1 = kept_hypergeom(336, 3, 5)
-        d2 = kept_hypergeom(339, 58, 14)
-        got = convolve(d1, d2).tail(6)
+        pair = convolve(_hypergeom_vector(336, 3, 5), _hypergeom_vector(339, 58, 14))
+        got = _tail(*pair, 6)
         exact = sum(
             exact_hg_pmf(336, 3, 5, a) * exact_hg_pmf(339, 58, 14, b)
             for a in range(0, 4)
@@ -285,51 +282,35 @@ class TestConvolveTail:
         assert round(got, 3) == 0.022
 
     def test_minimum_sum_gives_one(self):
-        d1 = kept_hypergeom(8, 3, 6)  # support starts at 1
-        d2 = kept_hypergeom(5, 2, 2)
-        assert convolve(d1, d2).tail(d1.support_min + d2.support_min) == 1.0
+        d1 = _hypergeom_vector(8, 3, 6)  # support starts at 1
+        d2 = _hypergeom_vector(5, 2, 2)
+        assert _tail(*convolve(d1, d2), d1[0] + d2[0]) == 1.0
 
     def test_two_small_copies_brute_force(self):
-        d = kept_hypergeom(5, 2, 2)
+        d = _hypergeom_vector(5, 2, 2)
         exact = sum(
             exact_hg_pmf(5, 2, 2, a) * exact_hg_pmf(5, 2, 2, b)
             for a in range(3)
             for b in range(3)
             if a + b >= 3
         )
-        assert convolve(d, d).tail(3) == pytest.approx(float(exact), rel=1e-12, abs=0)
+        assert _tail(*convolve(d, d), 3) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
     def test_matches_joint_enumeration(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             p1 = rng.dirichlet(np.ones(rng.integers(2, 25)))
             p2 = rng.dirichlet(np.ones(rng.integers(2, 25)))
-            d1 = DiscreteDist(int(rng.integers(0, 4)), p1)
-            d2 = DiscreteDist(int(rng.integers(0, 4)), p2)
-            s = int(rng.integers(0, d1.support_max + d2.support_max + 2))
+            lo1, lo2 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+            s = int(rng.integers(0, lo1 + len(p1) + lo2 + len(p2)))
             brute = math.fsum(
                 float(p1[i] * p2[j])
                 for i in range(len(p1))
                 for j in range(len(p2))
-                if (d1.support_min + i) + (d2.support_min + j) >= s
+                if (lo1 + i) + (lo2 + j) >= s
             )
-            assert convolve(d1, d2).tail(s) == pytest.approx(brute, abs=1e-12)
-
-
-class TestDiscreteDist:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            DiscreteDist(0, np.array([0.5, 0.4]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            DiscreteDist(0, np.array([1.1, -0.1]))
-
-    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [1.0, math.nan],
-                                       [math.nan, -1.0, 2.0]])
-    def test_rejects_nan(self, probs):
-        with pytest.raises(ValueError):
-            DiscreteDist(0, probs)
+            got = _tail(*convolve((lo1, array("d", p1)), (lo2, array("d", p2))), s)
+            assert got == pytest.approx(brute, abs=1e-12)
 
 
 def test_clamp_only_near_boundary():
@@ -413,8 +394,8 @@ class TestKernelProperties:
         exact = float(exact_sum_tail(wards, s_min))
         assert got.p_value == pytest.approx(exact, rel=1e-12, abs=0)
         assert [c[1] for c in got.components] == [hypergeom_tail(*w) for w in wards]
-        total = convolve(*(kept_hypergeom(n, r, k) for n, r, k, _ in wards))
-        tails = [total.tail(s) for s in range(total.support_min - 1, total.support_max + 2)]
+        lo, total = convolve(*(_hypergeom_vector(n, r, k) for n, r, k, _ in wards))
+        tails = [_tail(lo, total, s) for s in range(lo - 1, lo + len(total) + 1)]
         assert all(a >= b for a, b in zip(tails, tails[1:]))
 
     @PROPERTY
@@ -424,11 +405,19 @@ class TestKernelProperties:
         assert convolved_sum_test(case, ["W0"]).p_value == ward_tail_p(case.wards[0]).p_value
 
     @PROPERTY
-    @given(st.lists(rosters(max_shifts=400), min_size=1, max_size=3))
-    def test_pmf_vectors_sum_to_one(self, wards):
-        dists = [kept_hypergeom(n, r, k) for n, r, k, _ in wards]
-        for d in [*dists, convolve(*dists)]:
-            assert abs(math.fsum(d.probabilities.tolist()) - 1.0) <= 1e-15
+    @given(st.lists(rosters(max_shifts=400), min_size=1, max_size=3),
+           st.integers(0, 600),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from(
+               [5e-324, 0.5, 1.0 - 2**-53, 61 / 675]),
+           st.floats(-3.0, 6.0).map(lambda e: 10.0**e) | st.just(0.0))
+    def test_pmf_vectors_sum_to_one(self, wards, trials, p, mean):
+        # no kernel checks its vectors, so this is where a NaN or negative entry shows
+        pmfs = [_hypergeom_vector(n, r, k) for n, r, k, _ in wards]
+        for _, vector in [*pmfs, convolve(*pmfs), binomial_vector(trials, p),
+                          poisson_dist(mean)]:
+            assert type(vector) is array and vector.typecode == "d" and len(vector) > 0
+            assert all(math.isfinite(v) and v >= 0.0 for v in vector)
+            assert abs(math.fsum(vector) - 1.0) <= 1e-15
 
     @PROPERTY
     @given(st.lists(rosters(max_shifts=400), min_size=1, max_size=3))
@@ -457,7 +446,7 @@ class TestHypergeomSumTail:
         with mock.patch.object(distributions, "convolve", wraps=convolve) as spy:
             got = hypergeom_sum_tail(wards, 1_500)
         assert spy.call_count == numpy_calls
-        numpys = convolve(*(kept_hypergeom(*w) for w in wards)).tail(1_500)
+        numpys = _tail(*convolve(*(_hypergeom_vector(*w) for w in wards)), 1_500)
         if numpy_calls:
             assert got == numpys
         else:
@@ -478,7 +467,7 @@ def former_from_log_ratios(support_min, log_ratios):
     below.reverse()
     probs = [math.exp(v) for v in (*below, 0.0, *accumulate(log_ratios[mode:]))]
     total = math.fsum(probs)
-    return DiscreteDist(support_min, [p / total for p in probs])
+    return support_min, array("d", [p / total for p in probs])
 
 
 def former_hypergeom_dist(n, r, k):
@@ -500,7 +489,7 @@ FROM_LOG_RATIOS = distributions._from_log_ratios
 
 
 def binomial_vector(trials, success_prob):
-    """The pmf vector binomial_tail builds, caught on its way to the tail."""
+    """The pmf pair binomial_tail builds, caught on its way to the tail."""
     built = []
 
     def keep(*args):
@@ -509,23 +498,23 @@ def binomial_vector(trials, success_prob):
 
     with mock.patch.object(distributions, "_from_log_ratios", keep):
         binomial_tail(trials, success_prob, 0)
-    [dist] = built
-    return dist
+    [vector] = built
+    return 0, vector
 
 
 def outcome(dist_of, *args):
-    """A pmf vector's support start and bytes, or the exception it raised."""
+    """A pmf pair's support start and bytes, or the exception it raised."""
     try:
-        dist = dist_of(*args)
+        support_min, vector = dist_of(*args)
     except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
-    return dist.support_min, dist.probabilities.tobytes()
+    return support_min, vector.tobytes()
 
 
 def assert_hypergeom_matches_the_former_kernel(n, r, k):
     """Same bytes or same exception; where the former kernel's math.log
     failed, the same type with a message that names the roster."""
-    now, former = outcome(kept_hypergeom, n, r, k), outcome(former_hypergeom_dist, n, r, k)
+    now, former = outcome(_hypergeom_vector, n, r, k), outcome(former_hypergeom_dist, n, r, k)
     if former == (ValueError, "math domain error"):
         assert now[0] is ValueError and f"n={n}, r={r}, k={k} cannot be built" in now[1]
     else:
@@ -562,7 +551,7 @@ class TestFloatOperandKernels:
     def test_a_vector_that_rounds_past_2_53_names_its_roster(self):
         roster = (53108094010586720, 53108094010586719, 53108094010586578)
         assert outcome(former_hypergeom_dist, *roster) == (ValueError, "math domain error")
-        assert outcome(kept_hypergeom, *roster) == (ValueError, (
+        assert outcome(_hypergeom_vector, *roster) == (ValueError, (
             "hypergeometric pmf of n=53108094010586720, r=53108094010586719, "
             "k=53108094010586578 cannot be built: counts past 2**53 round when "
             "converted to floats"))
@@ -575,7 +564,7 @@ class TestFloatOperandKernels:
     def test_binomial_vector_is_bit_identical(self, trials, p, x_min):
         assert outcome(binomial_vector, trials, p) == outcome(former_binomial_vector, trials, p)
         assert binomial_tail(trials, p, x_min).hex() == (
-            former_binomial_vector(trials, p).tail(x_min).hex())
+            _tail(*former_binomial_vector(trials, p), x_min).hex())
 
     def test_binomial_with_unbounded_trials_raises_as_before(self):
         assert outcome(binomial_vector, 10**400, 0.5)[0] is OverflowError
@@ -583,43 +572,11 @@ class TestFloatOperandKernels:
             outcome(former_binomial_vector, 10**400, 0.5))
 
 
-class TestKernelVectorsPassThePublicChecks:
-    """The kernels skip DiscreteDist's checks; the public constructor must
-    accept each vector they build, and copy it bit for bit."""
-
-    @staticmethod
-    def assert_accepted_as_is(dist):
-        assert type(dist.probabilities) is array and dist.probabilities.typecode == "d"
-        checked = DiscreteDist(dist.support_min, dist.probabilities)
-        assert checked.probabilities is not dist.probabilities
-        assert (checked.support_min, checked.probabilities.tobytes()) == (
-            dist.support_min, dist.probabilities.tobytes())
-
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(st.lists(wide_rosters() | rosters(max_shifts=400).map(lambda roster: roster[:3]),
-                    min_size=1, max_size=3),
-           st.integers(0, 600),
-           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from(
-               [5e-324, 0.5, 1.0 - 2**-53, 61 / 675]),
-           st.floats(-3.0, 6.0).map(lambda e: 10.0**e) | st.just(0.0))
-    def test_every_kernel_vector(self, wards, trials, p, mean):
-        dists = []
-        for roster in wards:
-            try:
-                dists.append(kept_hypergeom(*roster))
-            except ValueError:  # past n = 2**53 a ratio can round to 0; see the bit-identity test
-                pass
-        if dists:
-            dists.append(convolve(*dists))
-        for dist in [*dists, binomial_vector(trials, p), poisson_dist(mean)]:
-            self.assert_accepted_as_is(dist)
-
-
 def hypergeom_outcomes(n, r, k):
     """The kept vector's bytes, and every tail and point value around the support."""
-    dist = kept_hypergeom(n, r, k)
-    points = range(dist.support_min - 1, dist.support_max + 2)
-    return (dist.support_min, dist.probabilities.tobytes(),
+    support_min, vector = _hypergeom_vector(n, r, k)
+    points = range(support_min - 1, support_min + len(vector) + 1)
+    return (support_min, vector.tobytes(),
             [hypergeom_tail(n, r, k, x).hex() for x in points],
             [hypergeom_pmf(n, r, k, x).hex() for x in points])
 

@@ -268,7 +268,7 @@ class TestPoissonInversionTable:
     def test_window_past_zero_offsets_the_counts(self, monkeypatch):
         # at a mean of 5,000 the window starts at count 1,371, not at 0
         first, table = risk_sim._poisson_inversion_table(5000.0)
-        assert first == poisson_dist(5000.0).support_min == 1371
+        assert first == poisson_dist(5000.0)[0] == 1371
         cfg = SimulationConfig(nurse_count=3, shifts_per_nurse=1000, mu=5.0,
                                replicates=4000, seed=21)
         report = simulate_max_rr(cfg, 1.04)
@@ -312,15 +312,14 @@ class TestBucketInversion:
 
 def _count_cap(mean):
     """The least count_cap that exact_max_rr_tail's 1e-10 mass check accepts."""
-    dist = poisson_dist(mean)
-    pmf = [0.0] * dist.support_min + list(dist.probabilities)
+    lo, probs = poisson_dist(mean)
+    pmf = [0.0] * lo + list(probs)
     return next(cap for cap in range(len(pmf)) if 1.0 - math.fsum(pmf[:cap + 1]) < 1e-10)
 
 
 def _brute_max_rr_tail(I, r, mu, threshold, count_cap):
     """The oracle: the same truncated sum, over every count vector in turn."""
-    dist = poisson_dist(mu * r)
-    lo, probs = dist.support_min, dist.probabilities
+    lo, probs = poisson_dist(mu * r)
     pmf = [probs[k - lo] if 0 <= k - lo < len(probs) else 0.0 for k in range(count_cap + 1)]
     pieces = []
     for vector in product(range(count_cap + 1), repeat=I):
