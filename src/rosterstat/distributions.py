@@ -225,7 +225,7 @@ def hypergeom_sum_tail(wards: Sequence[tuple[int, int, int]], x_min: int) -> flo
 
 
 def poisson_dist(mean: float) -> tuple[int, array]:
-    """The pmf pair of Poisson(mean) over the counts mean +- (40 * sqrt(mean) + 800), from 0.
+    """Poisson(mean)'s pmf pair over the counts mean +- (40 * sqrt(mean) + 800), from 0.
 
     Every count outside that window has a scaled term that underflows to 0.0.
     """
@@ -237,7 +237,7 @@ def poisson_dist(mean: float) -> tuple[int, array]:
     counts = range(max(0, math.floor(mean - half_width)), math.ceil(mean + half_width))
     log_mean = math.log(mean)
     return counts.start, _from_log_ratios([log_mean - math.log(x + 1.0)
-                                           for x in map(float, counts)])
+                                            for x in map(float, counts)])
 
 
 def chi2_survival_even(x: float, dof: int) -> float:

@@ -708,13 +708,10 @@ class TestOneBlasThread:
         assert os.environ["OPENBLAS_NUM_THREADS"] == expected
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-    def test_relative_risk_runs_on_one_thread(self):
-        env = {name: value for name, value in os.environ.items()
-               if name != "OPENBLAS_NUM_THREADS"}
-        done = subprocess.run(
-            [sys.executable, "-c", THREAD_COUNT, "analyze", "--builtin", "corrected",
-             "--method", "relative-risk", "--replicates", "2000"],
-            capture_output=True, text=True, env={**env, "PYTHONPATH": str(SRC)}, timeout=60)
+    def test_relative_risk_runs_on_one_thread(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        done = run_fresh(THREAD_COUNT, "analyze", "--builtin", "corrected",
+                         "--method", "relative-risk", "--replicates", "2000")
         assert (done.returncode, done.stdout) == (0, "Threads:\t1\n"), done.stderr
 
 
