@@ -63,6 +63,8 @@ class ConsistencyError(ArithmeticError):
 
 
 def _clamp_probability(p: float) -> float:
+    if 0.0 <= p <= 1.0:
+        return p
     if p < 0.0:
         if p < -_CLAMP_TOL:
             raise ConsistencyError(f"probability {p!r} below 0 beyond tolerance")
@@ -71,7 +73,7 @@ def _clamp_probability(p: float) -> float:
         if p > 1.0 + _CLAMP_TOL:
             raise ConsistencyError(f"probability {p!r} above 1 beyond tolerance")
         return 1.0
-    return p
+    raise ConsistencyError(f"probability {p!r} is not a number")
 
 
 def _tail(support_min: int, probabilities: array, x_min: int) -> float:

@@ -325,6 +325,34 @@ def test_clamp_only_near_boundary():
         _clamp_probability(-1e-6)
 
 
+class TestTail:
+    """_tail reads a pmf pair's upper slice; a slice that is no probability raises."""
+
+    PAIR = (2, array("d", [0.25, 0.5, 0.25]))
+
+    @pytest.mark.parametrize("x_min", [-5, 1, 2])
+    def test_at_or_below_the_support_is_one(self, x_min):
+        assert _tail(*self.PAIR, x_min) == 1.0
+
+    @pytest.mark.parametrize("x_min, expected", [(3, 0.75), (4, 0.25), (5, 0.0), (9, 0.0)])
+    def test_upper_slice_sums(self, x_min, expected):
+        assert _tail(*self.PAIR, x_min) == expected
+
+    def test_rounding_past_one_clamps(self):
+        assert _tail(0, array("d", [0.0, 1.0 + 5e-13]), 1) == 1.0
+
+    @pytest.mark.parametrize("probs", [[0.0, 1.1], [1.1, -0.1], [0.5, 0.5, -1e-6]])
+    def test_a_slice_outside_zero_one_raises(self, probs):
+        with pytest.raises(ConsistencyError, match="beyond tolerance"):
+            _tail(0, array("d", probs), len(probs) - 1)
+
+    @pytest.mark.parametrize("probs", [[0.5, math.nan], [0.5, math.nan, 0.5],
+                                       [1.0, -1.0, math.nan]])
+    def test_a_nan_in_the_slice_raises(self, probs):
+        with pytest.raises(ConsistencyError, match="not a number"):
+            _tail(0, array("d", probs), 1)
+
+
 # Property tests over random rosters. derandomize keeps every run on the
 # same examples, so a failure reproduces.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
